@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -35,8 +34,9 @@ from .matchings import (
 from .patterns import (
     EndheredPattern,
     PatternError,
+    _check_guard,
     count_occurrences,
-    distribution_bruteforce,
+    distributions_bruteforce,
     monte_carlo_distribution,
     total_variation_to_poisson_half,
 )
@@ -53,16 +53,6 @@ from .structure import (
 from .tables import table_for_pattern
 
 DomainErrors = (MatchingError, PatternError, StructureError, CorpusError, ValueError)
-
-
-def worker_cap() -> int:
-    """Worker-count cap from ENDHERED_THREADS (>= 1); processing is currently
-    serial, so any cap is honored."""
-    raw = os.environ.get("ENDHERED_THREADS")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _matching_from_args(args) -> Matching:
@@ -246,17 +236,22 @@ def _cmd_verify(args) -> str:
     from .corpus import DEFAULT_PATTERNS
 
     names = args.patterns or list(DEFAULT_PATTERNS)
-    results = []
-    all_ok = True
+    pats, tables = [], []
     for name in names:
-        pat = EndheredPattern.from_string(name)
-        table = table_for_pattern(name, args.max_n)
-        for n in range(1, args.max_n + 1):
-            brute = distribution_bruteforce(n, pat, allow_large=args.allow_large)
-            formula = table.column(n)
-            ok = {k: v for k, v in brute.items() if v} == formula
-            all_ok &= ok
-            results.append({"pattern": name, "n": n, "ok": ok})
+        pats.append(EndheredPattern.from_string(name))
+        tables.append(table_for_pattern(name, args.max_n))
+    # the tables reject max_n < 1; the guard is checked before any enumeration
+    _check_guard(args.max_n, args.allow_large)
+    brute = [
+        distributions_bruteforce(n, pats, allow_large=args.allow_large)
+        for n in range(1, args.max_n + 1)
+    ]
+    results = [
+        {"pattern": name, "n": n, "ok": dists[i] == table.column(n)}
+        for i, (name, table) in enumerate(zip(names, tables))
+        for n, dists in enumerate(brute, start=1)
+    ]
+    all_ok = all(r["ok"] for r in results)
     if args.format == "json":
         return json.dumps({"max_n": args.max_n, "ok": all_ok, "results": results})
     if args.format == "csv":

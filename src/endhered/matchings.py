@@ -46,6 +46,8 @@ class Matching:
     def _check(self) -> None:
         n2 = 2 * self.size
         pt = self._partner
+        if pt[0] != 0:
+            raise MatchingError(f"partner map must start with the 0 sentinel, got {pt[0]}")
         for i in range(1, n2 + 1):
             j = pt[i]
             if not 1 <= j <= n2:

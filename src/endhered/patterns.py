@@ -21,8 +21,10 @@ class PatternError(ValueError):
     """Raised for invalid patterns or guarded brute-force sizes."""
 
 
-# (2*10-1)!! is ~6.5e8 matchings; anything larger needs an explicit override
-BRUTEFORCE_MAX_N = 10
+# (2*8-1)!! is ~2.0e6 matchings: one pattern takes ~45 s at n = 8 on a 2-core
+# x86-64 VM (Python 3.11), and each further n multiplies that by 2n-1 (n = 9:
+# ~13 min); anything larger needs an explicit override
+BRUTEFORCE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,11 @@ class EndheredPattern:
     def from_string(cls, text: str) -> "EndheredPattern":
         """Parse "21" or comma form "10,1,2,..."."""
         if "," in text:
-            return cls(int(tok) for tok in text.split(","))
+            try:
+                perm = [int(tok) for tok in text.split(",")]
+            except ValueError:
+                raise PatternError(f"bad pattern string {text!r}") from None
+            return cls(perm)
         if not text.isdigit():
             raise PatternError(f"bad pattern string {text!r}")
         return cls(int(ch) for ch in text)
@@ -136,6 +142,22 @@ def _check_guard(n: int, allow_large: bool) -> None:
         )
 
 
+def _census(
+    n: int, pats: Sequence[EndheredPattern], allow_large: bool
+) -> Dict[Tuple[int, ...], int]:
+    """{(k_1, ..., k_r): number of matchings of size n with exactly k_i
+    occurrences of pats[i]}: the one brute-force pass over all matchings."""
+    _check_guard(n, allow_large)
+    invs = [pat.inverse for pat in pats]
+    n2 = 2 * n
+    counts: Dict[Tuple[int, ...], int] = {}
+    for m in enumerate_matchings(n):
+        pt = m.partner_map
+        key = tuple(sum(1 for _ in _iter_occurrences(pt, n2, inv)) for inv in invs)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def distribution_bruteforce(
     n: int, pat: EndheredPattern, allow_large: bool = False
 ) -> Dict[int, int]:
@@ -144,22 +166,7 @@ def distribution_bruteforce(
     Returns {k: number of matchings with exactly k occurrences}; the counts
     sum to (2n-1)!!.
     """
-    _check_guard(n, allow_large)
-    inv = pat.inverse
-    p = len(inv)
-    inv0 = inv[0]
-    rest = tuple(enumerate(inv))[1:]
-    n2 = 2 * n
-    counts: Dict[int, int] = {}
-    for m in enumerate_matchings(n):
-        pt = m.partner_map
-        k = 0
-        for a in range(1, n2 - p + 2):
-            j = pt[a] - inv0
-            if j >= a + p - 1 and all(pt[a + s] == v + j for s, v in rest):
-                k += 1
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    return distributions_bruteforce(n, [pat], allow_large)[0]
 
 
 def joint_distribution_bruteforce(
@@ -169,33 +176,17 @@ def joint_distribution_bruteforce(
     allow_large: bool = False,
 ) -> Dict[Tuple[int, int], int]:
     """Exact joint distribution of occurrence counts of two patterns."""
-    _check_guard(n, allow_large)
-    inv1, inv2 = pat1.inverse, pat2.inverse
-    counts: Dict[Tuple[int, int], int] = {}
-    n2 = 2 * n
-    for m in enumerate_matchings(n):
-        pt = m.partner_map
-        key = (
-            sum(1 for _ in _iter_occurrences(pt, n2, inv1)),
-            sum(1 for _ in _iter_occurrences(pt, n2, inv2)),
-        )
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _census(n, [pat1, pat2], allow_large)
 
 
 def distributions_bruteforce(
     n: int, pats: Sequence[EndheredPattern], allow_large: bool = False
 ) -> List[Dict[int, int]]:
     """Distributions of several patterns computed in a single enumeration pass."""
-    _check_guard(n, allow_large)
-    invs = [pat.inverse for pat in pats]
     results: List[Dict[int, int]] = [{} for _ in pats]
-    n2 = 2 * n
-    for m in enumerate_matchings(n):
-        pt = m.partner_map
-        for inv, counts in zip(invs, results):
-            k = sum(1 for _ in _iter_occurrences(pt, n2, inv))
-            counts[k] = counts.get(k, 0) + 1
+    for key, c in _census(n, pats, allow_large).items():
+        for k, counts in zip(key, results):
+            counts[k] = counts.get(k, 0) + c
     return results
 
 

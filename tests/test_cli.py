@@ -159,6 +159,33 @@ class TestVerify:
         validate("verify", payload)
         assert payload["ok"] is True
 
+    def test_shuffled_patterns_with_repeat_are_pattern_major(self, capsys):
+        names = ["312", "21", "123", "21", "132"]
+        argv = ["verify", "--max-n", "4"]
+        for name in names:
+            argv += ["--pattern", name]
+        status, out, _ = invoke(capsys, *argv)
+        lines = [f"{name} n={n}: ok" for name in names for n in range(1, 5)]
+        assert status == 0
+        assert out == "\n".join(lines + ["all ok"]) + "\n"
+
+    def test_guard_checked_before_any_enumeration(self, capsys, monkeypatch):
+        from endhered import patterns
+
+        calls = []
+        real = patterns.enumerate_matchings
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(patterns, "BRUTEFORCE_MAX_N", 2)
+        monkeypatch.setattr(patterns, "enumerate_matchings", spy)
+        status, out, err = invoke(capsys, "verify", "--max-n", "3", "--pattern", "21")
+        assert status == 1 and out == ""
+        assert "exceeds the n <= 2 guard" in err
+        assert calls == []
+
 
 class TestSample:
     def test_json_schema(self, capsys):
@@ -187,13 +214,3 @@ class TestHarness:
         _, first, _ = invoke(capsys, *argv)
         _, second, _ = invoke(capsys, *argv)
         assert first == second
-
-    def test_thread_cap_parsing(self, monkeypatch):
-        from endhered.cli import worker_cap
-
-        monkeypatch.setenv("ENDHERED_THREADS", "8")
-        assert worker_cap() == 8
-        monkeypatch.setenv("ENDHERED_THREADS", "junk")
-        assert worker_cap() == 1
-        monkeypatch.delenv("ENDHERED_THREADS")
-        assert worker_cap() == 1

@@ -197,3 +197,5 @@ def test_invalid_partner_maps_rejected():
         Matching((0, 1, 2))  # fixed points
     with pytest.raises(MatchingError):
         Matching((0, 2, 1, 4, 3, 5))  # odd number of points
+    with pytest.raises(MatchingError):
+        Matching((5, 2, 1))  # nonzero sentinel at index 0

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,7 @@ from endhered import (
     as_matching,
     count_occurrences,
     distribution_bruteforce,
+    distributions_bruteforce,
     enumerate_matchings,
     find_occurrences,
     from_arcs,
@@ -21,6 +23,7 @@ from endhered import (
     right_twist,
     wilf_classes,
 )
+from endhered.corpus import DEFAULT_PATTERNS
 
 P = EndheredPattern.from_string
 
@@ -31,6 +34,11 @@ class TestPattern:
 
     def test_parse_comma_form(self):
         assert EndheredPattern.from_string("10,1,2,3,4,5,6,7,8,9").size == 10
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1,2", "1,a"])
+    def test_rejects_bad_comma_tokens(self, text):
+        with pytest.raises(PatternError, match=re.escape(repr(text))):
+            P(text)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(PatternError):
@@ -209,6 +217,17 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(PatternError, match="guard"):
             distribution_bruteforce(11, P("21"))
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_census_matches_per_matching_tallies(self, n):
+        pats = [P(name) for name in DEFAULT_PATTERNS]
+        tallies = [{} for _ in pats]
+        for m in enumerate_matchings(n):
+            for pat, tally in zip(pats, tallies):
+                k = count_occurrences(m, pat)
+                tally[k] = tally.get(k, 0) + 1
+        assert distributions_bruteforce(n, pats) == tallies
+        assert [distribution_bruteforce(n, pat) for pat in pats] == tallies
 
 
 class TestJointDistribution:
