@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .matchings import (
     Arc,
+    EndheredError,
     Matching,
     MatchingError,
     enumerate_matchings,

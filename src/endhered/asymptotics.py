@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .matchings import EndheredError
 from .tables import a21_closed_form, avoid21, double_factorial
 
 
@@ -18,7 +19,7 @@ def log_asym_a21(n: int, k: int) -> float:
     matchings with k occurrences of pattern 21:
     (1 / (2^k k!)) * (2/e)^(n + 1/2) * n^n."""
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise EndheredError("need n >= 1 and k >= 0")
     return (
         -k * math.log(2.0)
         - math.lgamma(k + 1)
@@ -30,7 +31,7 @@ def log_asym_a21(n: int, k: int) -> float:
 def poisson_half_pmf(k: int) -> float:
     """Poisson(1/2) probability mass at k."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise EndheredError("k must be nonnegative")
     return math.exp(-0.5 - k * math.log(2.0) - math.lgamma(k + 1))
 
 
@@ -38,7 +39,7 @@ def constant_Ck(k: int) -> Fraction:
     """Exact constant in the 321-class asymptotics: C_0 = 1 and, for k > 0,
     sum over s = 1..k of C(k-1, s-1) / (2^s s!)."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise EndheredError("k must be nonnegative")
     if k == 0:
         return Fraction(1)
     return sum(
@@ -50,14 +51,14 @@ def constant_Ck(k: int) -> Fraction:
 def asym_ratio_c(n: int, k: int) -> float:
     """Limit ratio c_{n,k} / (2n-1)!! ~ C_k / 2^k * n^-k."""
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise EndheredError("need n >= 1 and k >= 0")
     return float(constant_Ck(k)) / (2**k * n**k)
 
 
 def asym_ratio_d(n: int, k: int) -> float:
     """Limit ratio d_{n,k} / (2n-1)!! ~ 1 / (2^(2k) k!) * n^-k."""
     if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+        raise EndheredError("need n >= 1 and k >= 0")
     return 1.0 / (2 ** (2 * k) * math.factorial(k) * n**k)
 
 

@@ -3,7 +3,8 @@
 Subcommands: enumerate, count, twist, collapse, validate, corpus (analyze|scatter|
 brackets), verify, sample.  Output goes to stdout and is byte-stable for
 identical argv; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error.
+error (an EndheredError), 2 usage error; any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import List, Optional
 from . import __version__
 from .asymptotics import poisson_half_pmf
 from .corpus import (
-    CorpusError,
     analyze,
     bracket_type_stats,
     load_corpus,
@@ -24,8 +24,8 @@ from .corpus import (
     scatter_data,
 )
 from .matchings import (
+    EndheredError,
     Matching,
-    MatchingError,
     left_twist,
     parse_matching,
     right_twist,
@@ -33,8 +33,7 @@ from .matchings import (
 )
 from .patterns import (
     EndheredPattern,
-    PatternError,
-    _check_guard,
+    check_guard,
     count_occurrences,
     distributions_bruteforce,
     monte_carlo_distribution,
@@ -44,16 +43,12 @@ from .structure import (
     DEFAULT_ALPHABET,
     validate_waterman_ponty,
     SecondaryStructure,
-    StructureError,
     collapse_shape,
     parse_dotbracket,
     serialize_dotbracket,
     to_matching,
 )
 from .tables import table_for_pattern
-
-DomainErrors = (MatchingError, PatternError, StructureError, CorpusError, ValueError)
-
 
 def _matching_from_args(args) -> Matching:
     if args.matching is not None:
@@ -241,7 +236,7 @@ def _cmd_verify(args) -> str:
         pats.append(EndheredPattern.from_string(name))
         tables.append(table_for_pattern(name, args.max_n))
     # the tables reject max_n < 1; the guard is checked before any enumeration
-    _check_guard(args.max_n, args.allow_large)
+    check_guard(args.max_n, args.allow_large)
     brute = [
         distributions_bruteforce(n, pats, allow_large=args.allow_large)
         for n in range(1, args.max_n + 1)
@@ -306,7 +301,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         output = _COMMANDS[args.subcommand](args)
-    except DomainErrors as exc:
+    except EndheredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(output)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .matchings import Matching
+from .matchings import EndheredError, Matching
 from .patterns import EndheredPattern, count_occurrences
 from .structure import (
     DEFAULT_ALPHABET,
@@ -29,7 +29,7 @@ from .structure import (
 DEFAULT_PATTERNS = ("21", "12", "231", "312", "132", "321", "213", "123")
 
 
-class CorpusError(ValueError):
+class CorpusError(EndheredError):
     """Raised for unreadable or malformed corpus files."""
 
 

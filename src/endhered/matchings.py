@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 
-class MatchingError(ValueError):
+class EndheredError(ValueError):
+    """Base of every domain error the package raises: bad input or a
+    request outside a routine's domain, as opposed to a bug."""
+
+
+class MatchingError(EndheredError):
     """Raised when arc data does not describe a valid matching."""
 
 

@@ -14,10 +14,16 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .matchings import Matching, enumerate_matchings, from_arcs, _random_matching
+from .matchings import (
+    EndheredError,
+    Matching,
+    enumerate_matchings,
+    from_arcs,
+    _random_matching,
+)
 
 
-class PatternError(ValueError):
+class PatternError(EndheredError):
     """Raised for invalid patterns or guarded brute-force sizes."""
 
 
@@ -132,7 +138,9 @@ def count_occurrences(m: Matching, pat: EndheredPattern) -> int:
     return sum(1 for _ in _iter_occurrences(pt, 2 * m.size, pat.inverse))
 
 
-def _check_guard(n: int, allow_large: bool) -> None:
+def check_guard(n: int, allow_large: bool) -> None:
+    """Reject a brute-force size n that is negative or, unless allow_large,
+    above BRUTEFORCE_MAX_N."""
     if n < 0:
         raise PatternError("size must be nonnegative")
     if n > BRUTEFORCE_MAX_N and not allow_large:
@@ -147,7 +155,7 @@ def _census(
 ) -> Dict[Tuple[int, ...], int]:
     """{(k_1, ..., k_r): number of matchings of size n with exactly k_i
     occurrences of pats[i]}: the one brute-force pass over all matchings."""
-    _check_guard(n, allow_large)
+    check_guard(n, allow_large)
     invs = [pat.inverse for pat in pats]
     n2 = 2 * n
     counts: Dict[Tuple[int, ...], int] = {}

@@ -9,13 +9,15 @@ bracket types First-Come-First-Served.
 from __future__ import annotations
 
 import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
-from .matchings import Matching, from_arcs
+from .matchings import EndheredError, Matching, from_arcs
 
 
-class StructureError(ValueError):
+class StructureError(EndheredError):
     """Raised for malformed dot-bracket text or impossible serializations."""
 
 
@@ -115,26 +117,33 @@ def parse_dotbracket(
     return SecondaryStructure(len(text), pairs)
 
 
-def _crosses(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-    (i, j), (k, l) = sorted((a, b))
-    return i < k < j < l
-
-
 def serialize_dotbracket(
     s: SecondaryStructure, alphabet: BracketAlphabet = DEFAULT_ALPHABET
 ) -> str:
     """Render to extended dot-bracket text.
 
     Pairs are processed in ascending opener position and each one takes the
-    first bracket type whose already-assigned pairs it does not cross.
+    first bracket type whose already-assigned pairs it does not cross.  Each
+    type keeps a stack of its pairs still open, innermost last; pair (i, j)
+    crosses one of them exactly when the innermost one with an opener below
+    i closes before j.  Cost O(P*T) steps for P monogamous pairs and T
+    bracket types.
     """
     out = ["."] * s.length
-    live: List[List[Tuple[int, int]]] = [[] for _ in alphabet.pairs]
+    stacks: List[List[Tuple[int, int]]] = [[] for _ in alphabet.pairs]
     for pair in s.sorted_pairs():
-        for t, assigned in enumerate(live):
-            if not any(_crosses(pair, other) for other in assigned):
-                assigned.append(pair)
-                out[pair[0] - 1], out[pair[1] - 1] = alphabet.pairs[t]
+        i, j = pair
+        for t, stack in enumerate(stacks):
+            while stack and stack[-1][1] <= i:
+                stack.pop()
+            # pairs sharing opener i sit on top and close before j: the new
+            # pair encloses them, so it goes below them
+            top = len(stack)
+            while top and stack[top - 1][0] == i:
+                top -= 1
+            if not top or stack[top - 1][1] >= j:
+                stack.insert(top, pair)
+                out[i - 1], out[j - 1] = alphabet.pairs[t]
                 break
         else:
             raise StructureError(
@@ -145,20 +154,44 @@ def serialize_dotbracket(
 
 
 def validate_waterman_ponty(s: SecondaryStructure, theta: int) -> ValidationReport:
-    """Report every violation of monogamy, minimum distance, and planarity."""
+    """Report every violation of monogamy, minimum distance, and planarity.
+
+    Both lists of pair pairs hold (a, b) with a before b in sorted_pairs()
+    order, sorted by (a, b).  Shared positions come from a map of each
+    position to the pairs that use it; crossings from one left-to-right
+    sweep over the open pairs, kept sorted by opener: when (i, j) closes,
+    the open pairs with an opener above i are exactly its later crossing
+    partners.  Cost O(P log P + K log K) comparisons for P pairs and K
+    violations.
+    """
     if theta < 0:
         raise StructureError("theta must be nonnegative")
-    report = ValidationReport(theta=theta)
     pairs = s.sorted_pairs()
-    for i, j in pairs:
-        if j - i < theta:
-            report.distance_violations.append((i, j))
-    for idx, a in enumerate(pairs):
-        for b in pairs[idx + 1 :]:
-            if set(a) & set(b):
-                report.monogamy_violations.append((a, b))
-            elif _crosses(a, b):
-                report.pseudoknot_violations.append((a, b))
+    report = ValidationReport(
+        theta=theta, distance_violations=[(i, j) for i, j in pairs if j - i < theta]
+    )
+    users: Dict[int, List[int]] = {}
+    for x, pair in enumerate(pairs):
+        for pos in pair:
+            users.setdefault(pos, []).append(x)
+    shared: List[Tuple[int, int]] = []
+    crossing: List[Tuple[int, int]] = []
+    open_pairs: List[Tuple[int, int]] = []  # (opener, index), ascending
+    after = len(pairs)  # sorts after every index at the same opener
+    for pos in sorted(users):
+        here = users[pos]
+        shared += combinations(here, 2)
+        # every pair closing here leaves before any is matched, so pairs
+        # sharing a closer are not taken for crossings
+        closing = [x for x in here if pairs[x][1] == pos]
+        for x in closing:
+            del open_pairs[bisect_left(open_pairs, (pairs[x][0], x))]
+        for x in closing:
+            start = bisect_right(open_pairs, (pairs[x][0], after))
+            crossing += [(x, y) for _, y in open_pairs[start:]]
+        open_pairs += [(pos, x) for x in here if pairs[x][0] == pos]
+    report.monogamy_violations = [(pairs[a], pairs[b]) for a, b in sorted(shared)]
+    report.pseudoknot_violations = [(pairs[a], pairs[b]) for a, b in sorted(crossing)]
     return report
 
 

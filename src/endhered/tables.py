@@ -15,13 +15,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
+from .matchings import EndheredError
 from .series import TruncatedBivariateSeries
 
 
 def double_factorial(m: int) -> int:
     """m!! with the conventions (-1)!! = 1 and 0!! = 1."""
     if m < -1:
-        raise ValueError("double factorial needs m >= -1")
+        raise EndheredError("double factorial needs m >= -1")
     out = 1
     while m > 1:
         out *= m
@@ -81,7 +82,7 @@ class DistributionTable:
 def avoid21(n: int) -> int:
     """Number of size-n matchings avoiding pattern 21, by the two-term recurrence."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise EndheredError("n must be nonnegative")
     prev, cur = 1, 1  # values for sizes 0 and 1
     if n == 0:
         return prev
@@ -93,7 +94,7 @@ def avoid21(n: int) -> int:
 def avoid21_incl_excl(n: int) -> int:
     """Same quantity via the alternating double-factorial sum."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise EndheredError("n must be positive")
     m = n - 1
     return sum(
         (-1) ** (m - k) * comb(m, k) * double_factorial(2 * k + 1) for k in range(m + 1)
@@ -103,7 +104,7 @@ def avoid21_incl_excl(n: int) -> int:
 def row1_21(n: int) -> int:
     """Number of size-n matchings with exactly one occurrence of 21."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise EndheredError("n must be positive")
     if n == 1:
         return 0
     prev, cur = 0, 1  # values for sizes 1 and 2
@@ -115,14 +116,14 @@ def row1_21(n: int) -> int:
 def a21_closed_form(n: int, k: int) -> int:
     """a_{n,k} = C(n-1, k) * avoid21(n-k), valid for n > k >= 0."""
     if not n > k >= 0:
-        raise ValueError("closed form requires n > k >= 0")
+        raise EndheredError("closed form requires n > k >= 0")
     return comb(n - 1, k) * avoid21(n - k)
 
 
 def table_a21(max_n: int) -> DistributionTable:
     """Distribution of pattern 21 (equivalently 12) up to size max_n, by recurrence."""
     if max_n < 1:
-        raise ValueError("max_n must be positive")
+        raise EndheredError("max_n must be positive")
     entries: Dict[Tuple[int, int], int] = {(1, 0): 1}
     row = {0: 1}
     for n in range(1, max_n):
@@ -148,7 +149,7 @@ def egf_row_b(k: int, max_n: int) -> List[Fraction]:
     with k occurrences of pattern 21.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise EndheredError("k must be nonnegative")
     # e^-z * (1-2z)^{-3/2}, then shift by z^k / k!
     base = [
         sum(
@@ -167,7 +168,7 @@ def egf_row_b(k: int, max_n: int) -> List[Fraction]:
 def table_c321(max_n: int) -> DistributionTable:
     """Distribution of pattern 321 (equivalently 123), by the binomial sums."""
     if max_n < 1:
-        raise ValueError("max_n must be positive")
+        raise EndheredError("max_n must be positive")
     entries: Dict[Tuple[int, int], int] = {}
     for n in range(1, max_n + 1):
         entries[n, 0] = sum(
@@ -200,7 +201,7 @@ def d132_series(max_n: int) -> TruncatedBivariateSeries:
 def table_d132(max_n: int) -> DistributionTable:
     """Distribution of pattern 132 (equivalently 213, 231, 312)."""
     if max_n < 1:
-        raise ValueError("max_n must be positive")
+        raise EndheredError("max_n must be positive")
     series = d132_series(max_n)
     entries = {
         (n, k): v for (n, k), v in series.coefficients.items() if n >= 1
@@ -228,7 +229,7 @@ def table_for_pattern(pattern: str, max_n: int) -> DistributionTable:
     try:
         builder = _TABLE_BUILDERS[pattern]
     except KeyError:
-        raise ValueError(
+        raise EndheredError(
             f"no closed-form table for pattern {pattern!r} (sizes 2 and 3 only)"
         ) from None
     table = builder(max_n)

@@ -8,6 +8,7 @@ from endhered import (
     asym_ratio_d,
     avoid21,
     avoidance_probability_21,
+    EndheredError,
     constant_Ck,
     double_factorial,
     log_asym_a21,
@@ -32,7 +33,7 @@ class TestLogAsym:
         assert math.isfinite(log_asym_a21(10**6, 3))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EndheredError):
             log_asym_a21(0, 0)
 
 

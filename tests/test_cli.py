@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -9,6 +10,14 @@ from endhered.cli import run
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CORPUS = str(files("endhered.data") / "paper_structures.tsv")
+
+# 94 pairs in three bracket types: 194 crossings, 3 pairs closer than theta = 3
+PSEUDOKNOTTED = (
+    "{{{(((((.[[[[[...((.))))))).]]]]]((((((((...[[[[[.((.)))))))))).]]]]]((("
+    "(..[[[.((...)))))).]]](((((((.[[[((.)))))))))..]]]....[[}}}((((((((.[[[."
+    ".((..)))))))))).]]]((((((((.[[[...((...))))))))))..]]].(((((((..[[[[[[(("
+    "...)))))))))....]]]]]]...]]"
+)
 
 
 def invoke(capsys, *argv):
@@ -119,6 +128,19 @@ class TestValidate:
         status, _, err = invoke(capsys, "validate", "--dotbracket", "((")
         assert status == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("text", "b5abd431315160aebf93489634274f75908b1bd5ca730c40ccc5df29de0708f3"),
+            ("csv", "9a769d6b9e7b9f77f20f288462ec2dbdc00b98fcb9fc3e0d6a2a4fda1534567e"),
+            ("json", "7f6f747cd139b00392c3b048b0f63503d161acc316ea587b08cd7a04b12d398a"),
+        ],
+    )
+    def test_pseudoknotted_output_pinned(self, capsys, fmt, sha256):
+        status, out, _ = invoke(capsys, "validate", "--dotbracket", PSEUDOKNOTTED, "--format", fmt)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestCorpus:
     def test_analyze_json_schema(self, capsys):
@@ -208,6 +230,28 @@ class TestHarness:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    def test_domain_errors_share_one_base(self):
+        from endhered import (
+            CorpusError,
+            EndheredError,
+            MatchingError,
+            PatternError,
+            StructureError,
+        )
+
+        for cls in (MatchingError, PatternError, StructureError, CorpusError):
+            assert issubclass(cls, EndheredError)
+
+    def test_bare_value_error_is_a_bug_not_exit_1(self, monkeypatch):
+        from endhered import cli
+
+        def broken(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "validate_waterman_ponty", broken)
+        with pytest.raises(ValueError, match="bug"):
+            run(["validate", "--dotbracket", "()"])
 
     def test_byte_identical_output(self, capsys):
         argv = ["enumerate", "--pattern", "321", "--max-n", "7", "--format", "json"]

@@ -1,3 +1,7 @@
+import random
+import time
+from bisect import bisect_right, insort
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +21,7 @@ from endhered import (
     to_matching,
     validate_waterman_ponty,
 )
+from endhered.structure import DEFAULT_ALPHABET
 
 PAT21 = EndheredPattern.from_string("21")
 
@@ -138,6 +143,125 @@ class TestValidate:
     def test_negative_theta(self):
         with pytest.raises(StructureError):
             validate_waterman_ponty(SecondaryStructure(2, [(1, 2)]), theta=-1)
+
+
+def _crosses(a, b):
+    (i, j), (k, l) = sorted((a, b))
+    return i < k < j < l
+
+
+def reference_validate(s, theta):
+    """The definition, pair by pair: (monogamy, distance, pseudoknot) lists."""
+    pairs = s.sorted_pairs()
+    monogamy, knots = [], []
+    for idx, a in enumerate(pairs):
+        for b in pairs[idx + 1 :]:
+            if set(a) & set(b):
+                monogamy.append((a, b))
+            elif _crosses(a, b):
+                knots.append((a, b))
+    return monogamy, [(i, j) for i, j in pairs if j - i < theta], knots
+
+
+def reference_serialize(s, alphabet):
+    """First fit against every pair already given each type; the text, or
+    the exhaustion message."""
+    out = ["."] * s.length
+    assigned = [[] for _ in alphabet.pairs]
+    for pair in s.sorted_pairs():
+        for t, given_t in enumerate(assigned):
+            if not any(_crosses(pair, other) for other in given_t):
+                given_t.append(pair)
+                out[pair[0] - 1], out[pair[1] - 1] = alphabet.pairs[t]
+                break
+        else:
+            return (
+                f"bracket alphabet exhausted: pair {pair} crosses all "
+                f"{len(alphabet.pairs)} types"
+            )
+    return "".join(out)
+
+
+@st.composite
+def pair_sets(draw):
+    """Arbitrary pair sets (shared endpoints included) or monogamous ones,
+    on up to 60 positions."""
+    length = draw(st.integers(min_value=2, max_value=60))
+    if draw(st.booleans()):
+        pos = st.integers(min_value=1, max_value=length)
+        raw = draw(st.lists(st.tuples(pos, pos), max_size=length))
+    else:
+        order = draw(st.permutations(range(1, length + 1)))
+        k = draw(st.integers(min_value=0, max_value=length // 2))
+        raw = [(order[2 * x], order[2 * x + 1]) for x in range(k)]
+    return SecondaryStructure(length, {(min(a, b), max(a, b)) for a, b in raw if a != b})
+
+
+class TestMatchesDefinition:
+    @settings(max_examples=400, deadline=None)
+    @given(pair_sets(), st.integers(min_value=0, max_value=3))
+    def test_validate(self, s, theta):
+        report = validate_waterman_ponty(s, theta)
+        got = (
+            report.monogamy_violations,
+            report.distance_violations,
+            report.pseudoknot_violations,
+        )
+        assert got == reference_validate(s, theta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair_sets(), st.integers(min_value=1, max_value=4))
+    def test_serialize(self, s, types):
+        alphabet = BracketAlphabet(DEFAULT_ALPHABET.pairs[:types])
+        try:
+            got = serialize_dotbracket(s, alphabet)
+        except StructureError as exc:
+            got = str(exc)
+        assert got == reference_serialize(s, alphabet)
+
+
+def _pseudoknotted_text(rng, blocks):
+    """H-type pseudoknots with random stems, loops and an inner hairpin,
+    under two long helices of two more types that cross each other."""
+    parts = []
+    for _ in range(blocks):
+        a, c = rng.randint(4, 9), rng.randint(3, 7)
+        hairpin = "(" * 3 + "." * rng.randint(2, 5) + ")" * 3
+        parts.append(
+            "(" * a + "." * rng.randint(1, 4) + "[" * c + "." * rng.randint(0, 3)
+            + hairpin + ")" * a + "." * rng.randint(1, 4) + "]" * c
+            + "." * rng.randint(0, 3)
+        )
+    q = blocks // 4
+    return (
+        "{" * 6 + "".join(parts[:q]) + "<" * 6 + "".join(parts[q : 2 * q])
+        + "}" * 6 + "".join(parts[2 * q : 3 * q]) + ">" * 6 + "".join(parts[3 * q :])
+    )
+
+
+def _count_crossings(pairs):
+    """Crossings of a monogamous pair set: for each (i, j), the pairs opening
+    after i that close after j, less those opening after j."""
+    openers = sorted(i for i, _ in pairs)
+    closers = []  # closers of the pairs opening after the current one
+    count = 0
+    for i, j in sorted(pairs, reverse=True):
+        opening_after_j = len(openers) - bisect_right(openers, j)
+        count += len(closers) - bisect_right(closers, j) - opening_after_j
+        insort(closers, j)
+    return count
+
+
+def test_rrna_scale_is_fast():
+    s = parse_dotbracket(_pseudoknotted_text(random.Random(3000), 205))
+    assert len(s.pairs) > 2900
+    start = time.perf_counter()
+    report = validate_waterman_ponty(s, theta=3)
+    text = serialize_dotbracket(s)
+    elapsed = time.perf_counter() - start
+    assert len(report.pseudoknot_violations) == _count_crossings(s.pairs)
+    assert parse_dotbracket(text) == s
+    assert elapsed < 1.0
 
 
 class TestToMatching:

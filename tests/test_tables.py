@@ -6,6 +6,7 @@ import pytest
 
 from endhered import (
     DistributionTable,
+    EndheredError,
     TruncatedBivariateSeries,
     a21_closed_form,
     avoid21,
@@ -35,7 +36,7 @@ class TestDoubleFactorial:
         assert double_factorial(8) == 8 * 6 * 4 * 2
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EndheredError):
             double_factorial(-3)
 
 
@@ -83,7 +84,7 @@ class TestClosedForm:
             assert a21_closed_form(n, 0) == avoid21(n)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EndheredError):
             a21_closed_form(3, 3)
 
     def test_matches_recurrence_table(self):
@@ -164,7 +165,7 @@ class TestTableForPattern:
         assert table_for_pattern("213", 5).entries == table_d132(5).entries
 
     def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EndheredError):
             table_for_pattern("4321", 5)
 
 
