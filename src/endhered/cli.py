@@ -241,12 +241,18 @@ def _cmd_verify(args) -> str:
         distributions_bruteforce(n, pats, allow_large=args.allow_large)
         for n in range(1, args.max_n + 1)
     ]
-    results = [
-        {"pattern": name, "n": n, "ok": dists[i] == table.column(n)}
-        for i, (name, table) in enumerate(zip(names, tables))
-        for n, dists in enumerate(brute, start=1)
-    ]
-    all_ok = all(r["ok"] for r in results)
+    results, first_mismatch = [], None
+    for i, (name, table) in enumerate(zip(names, tables)):
+        for n, dists in enumerate(brute, start=1):
+            got, want = dists[i], table.column(n)
+            results.append({"pattern": name, "n": n, "ok": got == want})
+            if got != want and first_mismatch is None:
+                k = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+                first_mismatch = (
+                    f"first mismatch: {name} n={n} k={k} "
+                    f"brute={got.get(k, 0)} formula={want.get(k, 0)}"
+                )
+    all_ok = first_mismatch is None
     if args.format == "json":
         return json.dumps({"max_n": args.max_n, "ok": all_ok, "results": results})
     if args.format == "csv":
@@ -256,7 +262,7 @@ def _cmd_verify(args) -> str:
     lines = [
         f"{r['pattern']} n={r['n']}: {'ok' if r['ok'] else 'MISMATCH'}" for r in results
     ]
-    lines.append("all ok" if all_ok else "MISMATCH FOUND")
+    lines += ["all ok"] if all_ok else [first_mismatch, "MISMATCH FOUND"]
     return "\n".join(lines)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from .matchings import EndheredError
+
 
 class TruncatedBivariateSeries:
     """Polynomial in z and u, with every z-power above max_degree discarded."""
@@ -17,7 +19,7 @@ class TruncatedBivariateSeries:
 
     def __init__(self, max_degree: int, coefficients: Dict[Tuple[int, int], object] = None):
         if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+            raise EndheredError("max_degree must be nonnegative")
         self.max_degree = max_degree
         self.coefficients = {
             key: c

@@ -1,9 +1,13 @@
-"""Exact distribution tables for endhered patterns of size 2 and 3.
+"""Exact distribution tables for endhered patterns.
 
-Every route the source formulas provide is implemented independently:
-recurrences, binomial closed forms, inclusion-exclusion sums, an EGF
-expansion for the size-2 pattern, and a substitution into the matching
-generating function for the 132-class.  All arithmetic is exact.
+`table_for_pattern` serves every permutation pattern from one engine: the
+Goulden-Jackson cluster method (as Elizalde and Noy used it for consecutive
+patterns), carried to matchings and evaluated by a linear recurrence on the
+rows.  The paper's own routes for the size-2 pattern and both size-3 classes
+stay as independent cross-checks: recurrences, binomial closed forms,
+inclusion-exclusion sums, an EGF expansion for the size-2 pattern, and a
+substitution into the matching generating function for the 132-class.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .matchings import EndheredError
+from .patterns import EndheredPattern
 from .series import TruncatedBivariateSeries
 
 
@@ -212,25 +218,112 @@ def table_d132(max_n: int) -> DistributionTable:
     return DistributionTable(max_n, entries, "132")
 
 
-_TABLE_BUILDERS = {
-    "21": table_a21,
-    "12": table_a21,
-    "123": table_c321,
-    "321": table_c321,
-    "132": table_d132,
-    "213": table_d132,
-    "231": table_d132,
-    "312": table_d132,
-}
+# The engine.  A cluster is a run of marked occurrences, each overlapping
+# the next; with t = u - 1 marking an occurrence, clusters have generating
+# function t z^p / (1 - t Q(z)), where Q sums z^d over the pattern's
+# self-overlap shifts d.  Substituting g = z + clusters into the matching
+# series F(x) = sum (2m-1)!! x^m gives D(z, u) = F(g), the table's
+# generating function.  F = 1 + xF + 2x^2 F' turns that, with g = A/B, into
+# P D' = M D - N for the polynomials below; [z^m] of it gives row m.
+# Polynomials in z and t are dicts {(z power, t power): coefficient}.
+
+
+def _poly_mul(f: Dict, g: Dict) -> Dict:
+    out: Dict[Tuple[int, int], int] = {}
+    for (i, a), x in f.items():
+        for (j, b), y in g.items():
+            out[i + j, a + b] = out.get((i + j, a + b), 0) + x * y
+    return out
+
+
+def _poly_sub(f: Dict, g: Dict) -> Dict:
+    out = dict(f)
+    for key, y in g.items():
+        out[key] = out.get(key, 0) - y
+    return out
+
+
+def _poly_dz(f: Dict) -> Dict:
+    return {(i - 1, a): i * x for (i, a), x in f.items() if i}
+
+
+def _z_coefficients_in_u(f: Dict) -> Dict[int, List[int]]:
+    """{i: u-coefficients of [z^i]f}, substituting t = u - 1."""
+    out: Dict[int, List[int]] = {}
+    for (i, a), x in f.items():
+        coeffs = out.setdefault(i, [])
+        coeffs.extend([0] * (a + 1 - len(coeffs)))
+        for k in range(a + 1):
+            coeffs[k] += x * comb(a, k) * (-1) ** (a - k)
+    return out
+
+
+def _self_overlaps(sigma: Tuple[int, ...]) -> Dict[int, int]:
+    """{d: c} for each shift 1 <= d < p at which two occurrences of the
+    pattern with partner order ``sigma`` can overlap: sigma[s] - sigma[s-d]
+    is the same value c for every s >= d, and |c| = d."""
+    p = len(sigma)
+    out = {}
+    for d in range(1, p):
+        diffs = {sigma[s] - sigma[s - d] for s in range(d, p)}
+        if len(diffs) == 1 and abs(min(diffs)) == d:
+            out[d] = min(diffs)
+    return out
+
+
+def _cluster_rows(pat: EndheredPattern, max_n: int) -> List[List[int]]:
+    """Rows 0..max_n, where row n lists by k the number of size-n matchings
+    with exactly k occurrences of ``pat``."""
+    p = pat.size
+    if p == 1:
+        # every arc is an occurrence; the recurrence would have to divide by u
+        return [[0] * n + [double_factorial(2 * n - 1)] for n in range(max_n + 1)]
+    shifts = _self_overlaps(pat.inverse)
+    # the cluster series assumes that overlapping occurrences all move their
+    # ending blocks the same way; no pattern of size <= 10 breaks this
+    if len({c > 0 for c in shifts.values()}) > 1:
+        raise EndheredError(
+            f"pattern {pat} overlaps itself at shifts of both signs; "
+            "the cluster engine does not cover it"
+        )
+    tq = {(d, 1): 1 for d in shifts}
+    a = _poly_sub({(1, 0): 1, (p, 1): 1}, _poly_mul({(1, 0): 1}, tq))
+    b = _poly_sub({(0, 0): 1}, tq)
+    r = _poly_sub(_poly_mul(_poly_dz(a), b), _poly_mul(a, _poly_dz(b)))
+    pp = _z_coefficients_in_u(_poly_mul({(0, 0): 2}, _poly_mul(_poly_mul(a, a), b)))
+    mm = _z_coefficients_in_u(_poly_mul(r, _poly_sub(b, a)))
+    nn = _z_coefficients_in_u(_poly_mul(r, b))
+    # [z^0]M = 1 and P starts at z^2, so
+    # d_m = sum_{j>=1} ((m-j) [z^(j+1)]P - [z^j]M) d_{m-j} + [z^m]N
+    terms = [
+        (j, list(zip_longest(pp.get(j + 1, []), mm.get(j, []), fillvalue=0)))
+        for j in range(1, max(max(pp) - 1, max(mm)) + 1)
+    ]
+    rows = [[1]]
+    for m in range(1, max_n + 1):
+        row = [0] * (m + 1)
+        for j, coeffs in terms:
+            if j > m:
+                break
+            src = rows[m - j]
+            for e, (x, y) in enumerate(coeffs):
+                c = (m - j) * x - y
+                if c:
+                    for k, v in enumerate(src, e):
+                        row[k] += c * v
+        for k, v in enumerate(nn.get(m, [])):
+            row[k] += v
+        rows.append(row)
+    return rows
 
 
 def table_for_pattern(pattern: str, max_n: int) -> DistributionTable:
-    """Formula-based table for any size-2 or size-3 pattern string."""
-    try:
-        builder = _TABLE_BUILDERS[pattern]
-    except KeyError:
-        raise EndheredError(
-            f"no closed-form table for pattern {pattern!r} (sizes 2 and 3 only)"
-        ) from None
-    table = builder(max_n)
-    return DistributionTable(max_n, table.entries, pattern)
+    """Exact table for any permutation pattern string, by the cluster method."""
+    pat = EndheredPattern.from_string(pattern)
+    if max_n < 1:
+        raise EndheredError("max_n must be positive")
+    rows = _cluster_rows(pat, max_n)
+    entries = {
+        (n, k): v for n in range(1, max_n + 1) for k, v in enumerate(rows[n])
+    }
+    return DistributionTable(max_n, entries, pattern)

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from endhered import double_factorial
 from endhered.cli import run
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -18,6 +19,52 @@ PSEUDOKNOTTED = (
     ".((..)))))))))).]]]((((((((.[[[...((...))))))))))..]]].(((((((..[[[[[[(("
     "...)))))))))....]]]]]]...]]"
 )
+
+
+# sha256 of `enumerate --pattern P --max-n 40 --format F` stdout, recorded
+# from the class-specific builders the engine replaced
+ENUMERATE_SHA256 = {
+    "21": {
+        "text": "87799532837c57737d7faff1bd07e1ff8e9b9bc129da3d5fe1c0c821fa120ff1",
+        "csv": "8a93e93add56af801dced3a2807f7447d620a917cc59e6844ffeab65bfc820e0",
+        "json": "aa1ba13b36b75627509f0d4dcb5c07f89665347d683c2c6c38cc01442dfe3303",
+    },
+    "12": {
+        "text": "87799532837c57737d7faff1bd07e1ff8e9b9bc129da3d5fe1c0c821fa120ff1",
+        "csv": "8a93e93add56af801dced3a2807f7447d620a917cc59e6844ffeab65bfc820e0",
+        "json": "450774807bb0fcef44da40753d2028cf5b38cc9fec5ac6a18855f17557eeaec6",
+    },
+    "321": {
+        "text": "fd95f2045d6a267f60dc0602a182c0121fb256624dd2acdc375d6f8dbcca6890",
+        "csv": "a8e95ab7853e652d0238777434cba016a3f0d3c2b47566f041037b2b48e536c9",
+        "json": "6cf06729b521785de2a4ab17434d4ac7ca1d4d395a2923353afa694ac86061ed",
+    },
+    "123": {
+        "text": "fd95f2045d6a267f60dc0602a182c0121fb256624dd2acdc375d6f8dbcca6890",
+        "csv": "a8e95ab7853e652d0238777434cba016a3f0d3c2b47566f041037b2b48e536c9",
+        "json": "199d38cb80d24e415de82355634e60bd1d70fe290c5884868bf0dcb6b9e4f87d",
+    },
+    "132": {
+        "text": "37464268a37902fd83276fae47cf24bed6782d63ed707ecd7037340c9b9341bf",
+        "csv": "e129748935731c9550fd5b26899409c4452064663f86b1355e57ee46e1ad6e82",
+        "json": "c574818678d33ce8e8b0488f94057c088b90dcc8cb6b59fcef09bc84573ea374",
+    },
+    "213": {
+        "text": "37464268a37902fd83276fae47cf24bed6782d63ed707ecd7037340c9b9341bf",
+        "csv": "e129748935731c9550fd5b26899409c4452064663f86b1355e57ee46e1ad6e82",
+        "json": "49aca90bf7234da1855c8b797811617404bf783d044e2a5360983ce03d59c884",
+    },
+    "231": {
+        "text": "37464268a37902fd83276fae47cf24bed6782d63ed707ecd7037340c9b9341bf",
+        "csv": "e129748935731c9550fd5b26899409c4452064663f86b1355e57ee46e1ad6e82",
+        "json": "3abd21f1d18865959e3e6f6fae93f7b455a845356dae119df632e3d960c5b34d",
+    },
+    "312": {
+        "text": "37464268a37902fd83276fae47cf24bed6782d63ed707ecd7037340c9b9341bf",
+        "csv": "e129748935731c9550fd5b26899409c4452064663f86b1355e57ee46e1ad6e82",
+        "json": "25e616eb39ca6c555964c8f4cddb081a9b63b98b17f4e8e42fc508d548497be4",
+    },
+}
 
 
 def invoke(capsys, *argv):
@@ -49,9 +96,24 @@ class TestEnumerate:
         assert out.startswith("n,k,count\n")
 
     def test_unknown_pattern_is_domain_error(self, capsys):
-        status, _, err = invoke(capsys, "enumerate", "--pattern", "4321")
-        assert status == 1
-        assert "error:" in err
+        # any permutation has a table; strings that are not one are errors
+        status, out, _ = invoke(capsys, "enumerate", "--pattern", "4321", "--max-n", "5", "--format", "json")
+        assert status == 0
+        entries = {(n, k): int(v) for n, k, v in json.loads(out)["entries"]}
+        assert entries == {(n, 0): double_factorial(2 * n - 1) for n in range(1, 4)} | {
+            (4, 0): 104, (4, 1): 1, (5, 0): 940, (5, 1): 4, (5, 2): 1,
+        }
+        for text in ("4331", "12a", "1,,2"):
+            status, out, err = invoke(capsys, "enumerate", "--pattern", text)
+            assert status == 1 and out == ""
+            assert "error:" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("pattern", list(ENUMERATE_SHA256))
+    def test_output_pinned(self, capsys, pattern, fmt):
+        status, out, _ = invoke(capsys, "enumerate", "--pattern", pattern, "--max-n", "40", "--format", fmt)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[pattern][fmt]
 
 
 class TestCount:
@@ -207,6 +269,32 @@ class TestVerify:
         assert status == 1 and out == ""
         assert "exceeds the n <= 2 guard" in err
         assert calls == []
+
+
+    def test_first_mismatch_named(self, capsys, monkeypatch):
+        from endhered import cli
+
+        real = cli.table_for_pattern
+
+        def wrong_cells(pattern, max_n):
+            # 132 is wrong at n = 3 for k = 1 and k = 2, 321 at n = 3 too
+            table = real(pattern, max_n)
+            if pattern in ("132", "321"):
+                table.entries[3, 2] = 7
+                table.entries[3, 1] += 1
+            return table
+
+        monkeypatch.setattr(cli, "table_for_pattern", wrong_cells)
+        argv = ["verify", "--max-n", "4", "--pattern", "21", "--pattern", "132", "--pattern", "321"]
+        status, out, _ = invoke(capsys, *argv)
+        assert status == 0
+        assert out.splitlines()[-2:] == [
+            "first mismatch: 132 n=3 k=1 brute=1 formula=2",
+            "MISMATCH FOUND",
+        ]
+        for fmt in ("csv", "json"):
+            _, out, _ = invoke(capsys, *argv, "--format", fmt)
+            assert "first mismatch" not in out
 
 
 class TestSample:

@@ -1,16 +1,21 @@
 import json
 import math
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from endhered import tables
 from endhered import (
     DistributionTable,
     EndheredError,
+    EndheredPattern,
     TruncatedBivariateSeries,
     a21_closed_form,
     avoid21,
     avoid21_incl_excl,
+    distributions_bruteforce,
     double_factorial,
     egf_row_b,
     row1_21,
@@ -165,7 +170,65 @@ class TestTableForPattern:
         assert table_for_pattern("213", 5).entries == table_d132(5).entries
 
     def test_unknown_pattern(self):
-        with pytest.raises(EndheredError):
+        # any permutation has a table; strings that are not one are errors
+        t = table_for_pattern("4321", 5)
+        pat = EndheredPattern.from_string("4321")
+        for n in range(1, 6):
+            assert t.column(n) == distributions_bruteforce(n, [pat])[0]
+        for text in ("4331", "12a", "1,,2"):
+            with pytest.raises(EndheredError):
+                table_for_pattern(text, 5)
+
+    def test_label_is_the_string_given(self):
+        assert table_for_pattern("213", 3).pattern == "213"
+        assert table_for_pattern("1,3,2", 3).pattern == "1,3,2"
+
+    def test_max_n_must_be_positive(self):
+        with pytest.raises(EndheredError, match="max_n must be positive"):
+            table_for_pattern("321", 0)
+
+
+def _all_patterns(p):
+    return [EndheredPattern(perm) for perm in permutations(range(1, p + 1))]
+
+
+class TestEngine:
+    """The cluster-method engine behind `table_for_pattern`, against the
+    brute-force census and the paper's own routes."""
+
+    def test_matches_census(self):
+        # sizes 1-4 to n = 7 and size 5 to n = 6, one census per n
+        small = [pat for p in range(1, 5) for pat in _all_patterns(p)]
+        five = _all_patterns(5)
+        tables_by_pat = {pat: table_for_pattern(str(pat), 7) for pat in small + five}
+        for n in range(1, 8):
+            pats = small + five if n <= 6 else small
+            for pat, dist in zip(pats, distributions_bruteforce(n, pats)):
+                assert tables_by_pat[pat].column(n) == dist, (str(pat), n)
+
+    @pytest.mark.parametrize(
+        "route, patterns",
+        [
+            (table_a21, ["21", "12"]),
+            (table_c321, ["321", "123"]),
+            (table_d132, ["132", "213", "231", "312"]),
+        ],
+    )
+    def test_matches_paper_routes(self, route, patterns):
+        expected = route(100).entries
+        for name in patterns:
+            assert table_for_pattern(name, 100).entries == expected, name
+
+    def test_scale_321_to_200(self):
+        start = time.perf_counter()
+        t = table_for_pattern("321", 200)
+        assert time.perf_counter() - start < 1.0
+        for n in range(1, 201):
+            assert sum(t.column(n).values()) == double_factorial(2 * n - 1)
+
+    def test_shifts_of_both_signs_rejected(self, monkeypatch):
+        monkeypatch.setattr(tables, "_self_overlaps", lambda sigma: {1: 1, 2: -2})
+        with pytest.raises(EndheredError, match="4321"):
             table_for_pattern("4321", 5)
 
 
@@ -206,6 +269,10 @@ class TestSeries:
     def test_rational_coefficients(self):
         s = TruncatedBivariateSeries(2, {(1, 0): Fraction(1, 2)})
         assert (s * s).coefficient(2, 0) == Fraction(1, 4)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(EndheredError):
+            TruncatedBivariateSeries(-1)
 
     def test_addition_drops_zeros(self):
         a = TruncatedBivariateSeries(4, {(1, 1): 5})
