@@ -29,9 +29,7 @@ from .patterns import (
     joint_distribution_bruteforce,
     monte_carlo_distribution,
     total_variation_to_poisson_half,
-    wilf_classes,
 )
-from .series import TruncatedBivariateSeries
 from .tables import (
     DistributionTable,
     a21_closed_form,
@@ -44,6 +42,7 @@ from .tables import (
     table_c321,
     table_d132,
     table_for_pattern,
+    wilf_classes,
 )
 from .asymptotics import (
     asym_ratio_c,

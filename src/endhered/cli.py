@@ -3,8 +3,8 @@
 Subcommands: enumerate, count, twist, collapse, validate, corpus (analyze|scatter|
 brackets), verify, sample.  Output goes to stdout and is byte-stable for
 identical argv; diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-error (an EndheredError), 2 usage error; any other exception is a bug and
-propagates with its traceback.
+error (an EndheredError) or a verify mismatch, 2 usage error; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .asymptotics import poisson_half_pmf
@@ -227,7 +227,7 @@ def _cmd_corpus(args) -> str:
     return report.to_text()
 
 
-def _cmd_verify(args) -> str:
+def _cmd_verify(args) -> Tuple[str, int]:
     from .corpus import DEFAULT_PATTERNS
 
     names = args.patterns or list(DEFAULT_PATTERNS)
@@ -253,17 +253,18 @@ def _cmd_verify(args) -> str:
                     f"brute={got.get(k, 0)} formula={want.get(k, 0)}"
                 )
     all_ok = first_mismatch is None
+    status = 0 if all_ok else 1
     if args.format == "json":
-        return json.dumps({"max_n": args.max_n, "ok": all_ok, "results": results})
+        return json.dumps({"max_n": args.max_n, "ok": all_ok, "results": results}), status
     if args.format == "csv":
         lines = ["pattern,n,ok"]
         lines += [f"{r['pattern']},{r['n']},{str(r['ok']).lower()}" for r in results]
-        return "\n".join(lines)
+        return "\n".join(lines), status
     lines = [
         f"{r['pattern']} n={r['n']}: {'ok' if r['ok'] else 'MISMATCH'}" for r in results
     ]
     lines += ["all ok"] if all_ok else [first_mismatch, "MISMATCH FOUND"]
-    return "\n".join(lines)
+    return "\n".join(lines), status
 
 
 def _cmd_sample(args) -> str:
@@ -310,8 +311,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     except EndheredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a command returns its stdout, or (stdout, exit code) if it can fail
+    output, status = output if isinstance(output, tuple) else (output, 0)
     print(output)
-    return 0
+    return status
 
 
 def main() -> None:

@@ -117,11 +117,16 @@ def load_corpus(path, format: str = "tsv") -> List[CorpusRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(
-                    CorpusRecord(obj["id"], obj["structure"], obj.get("tool"))
-                )
+                rid, structure = obj["id"], obj["structure"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad JSONL record: {exc}") from exc
+            for key, value in (("id", rid), ("structure", structure)):
+                if not isinstance(value, str):
+                    raise CorpusError(
+                        f"{path}:{lineno}: bad JSONL record: {key!r} must be a "
+                        f"string, not {type(value).__name__}"
+                    )
+            records.append(CorpusRecord(rid, structure, obj.get("tool")))
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
     seen = set()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .matchings import (
@@ -196,31 +195,6 @@ def distributions_bruteforce(
         for k, counts in zip(key, results):
             counts[k] = counts.get(k, 0) + c
     return results
-
-
-def wilf_classes(
-    p: int, max_n: int, allow_large_pattern: bool = False
-) -> List[List[EndheredPattern]]:
-    """Partition all p! patterns of size p by their distribution vectors for n <= max_n.
-
-    Classes and their members are returned in lexicographic pattern order.
-    """
-    if p < 1:
-        raise PatternError("pattern size must be positive")
-    if p > 3 and not allow_large_pattern:
-        raise PatternError(
-            "wilf_classes is guarded to p <= 3; pass allow_large_pattern=True"
-        )
-    pats = [EndheredPattern(perm) for perm in permutations(range(1, p + 1))]
-    signatures: Dict[Tuple, List[EndheredPattern]] = {}
-    vectors = [[] for _ in pats]
-    for n in range(1, max_n + 1):
-        for vec, dist in zip(vectors, distributions_bruteforce(n, pats)):
-            vec.append(tuple(sorted(dist.items())))
-    for pat, vec in zip(pats, vectors):
-        signatures.setdefault(tuple(vec), []).append(pat)
-    classes = sorted(signatures.values(), key=lambda cls: cls[0].perm)
-    return classes
 
 
 def monte_carlo_distribution(

@@ -1,78 +1,41 @@
-"""Truncated bivariate power series with exact coefficients.
+"""Exact polynomial arithmetic for the cluster-method engine in `tables`.
 
-Series in z (truncated at a fixed degree) and u (unbounded), with integer or
-rational coefficients.  Enough arithmetic for the generating-function
-expansions used by the table builders; nothing symbolic.
+Polynomials in z and t are dicts {(z power, t power): coefficient}, with
+t = u - 1 marking a pattern occurrence.  Nothing is truncated and nothing is
+symbolic; coefficients are Python integers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from math import comb
+from typing import Dict, List, Tuple
 
-from .matchings import EndheredError
+
+def _poly_mul(f: Dict, g: Dict) -> Dict:
+    out: Dict[Tuple[int, int], int] = {}
+    for (i, a), x in f.items():
+        for (j, b), y in g.items():
+            out[i + j, a + b] = out.get((i + j, a + b), 0) + x * y
+    return out
 
 
-class TruncatedBivariateSeries:
-    """Polynomial in z and u, with every z-power above max_degree discarded."""
+def _poly_sub(f: Dict, g: Dict) -> Dict:
+    out = dict(f)
+    for key, y in g.items():
+        out[key] = out.get(key, 0) - y
+    return out
 
-    __slots__ = ("max_degree", "coefficients")
 
-    def __init__(self, max_degree: int, coefficients: Dict[Tuple[int, int], object] = None):
-        if max_degree < 0:
-            raise EndheredError("max_degree must be nonnegative")
-        self.max_degree = max_degree
-        self.coefficients = {
-            key: c
-            for key, c in (coefficients or {}).items()
-            if key[0] <= max_degree and c != 0
-        }
+def _poly_dz(f: Dict) -> Dict:
+    return {(i - 1, a): i * x for (i, a), x in f.items() if i}
 
-    @classmethod
-    def zero(cls, max_degree: int) -> "TruncatedBivariateSeries":
-        return cls(max_degree)
 
-    @classmethod
-    def term(cls, max_degree: int, coeff, z_power: int = 0, u_power: int = 0):
-        return cls(max_degree, {(z_power, u_power): coeff})
-
-    def coefficient(self, z_power: int, u_power: int):
-        return self.coefficients.get((z_power, u_power), 0)
-
-    def __add__(self, other: "TruncatedBivariateSeries") -> "TruncatedBivariateSeries":
-        deg = min(self.max_degree, other.max_degree)
-        out = dict(self.coefficients)
-        for key, c in other.coefficients.items():
-            out[key] = out.get(key, 0) + c
-        return TruncatedBivariateSeries(deg, out)
-
-    def __mul__(self, other: "TruncatedBivariateSeries") -> "TruncatedBivariateSeries":
-        deg = min(self.max_degree, other.max_degree)
-        out: Dict[Tuple[int, int], object] = {}
-        for (za, ua), ca in self.coefficients.items():
-            if za > deg:
-                continue
-            for (zb, ub), cb in other.coefficients.items():
-                z = za + zb
-                if z > deg:
-                    continue
-                key = (z, ua + ub)
-                out[key] = out.get(key, 0) + ca * cb
-        return TruncatedBivariateSeries(deg, out)
-
-    def scale(self, factor) -> "TruncatedBivariateSeries":
-        return TruncatedBivariateSeries(
-            self.max_degree, {key: c * factor for key, c in self.coefficients.items()}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedBivariateSeries)
-            and self.max_degree == other.max_degree
-            and self.coefficients == other.coefficients
-        )
-
-    def __repr__(self) -> str:
-        terms = ", ".join(
-            f"z^{z} u^{u}: {c}" for (z, u), c in sorted(self.coefficients.items())
-        )
-        return f"TruncatedBivariateSeries(deg<={self.max_degree}, {{{terms}}})"
+def _z_coefficients_in_u(f: Dict) -> Dict[int, List[int]]:
+    """{i: u-coefficients of [z^i]f}, substituting t = u - 1."""
+    out: Dict[int, List[int]] = {}
+    for (i, a), x in f.items():
+        coeffs = out.setdefault(i, [])
+        coeffs.extend([0] * (a + 1 - len(coeffs)))
+        for k in range(a + 1):
+            coeffs[k] += x * comb(a, k) * (-1) ** (a - k)
+    return out

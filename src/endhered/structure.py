@@ -12,7 +12,7 @@ import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Collection, Dict, FrozenSet, List, Tuple
 
 from .matchings import EndheredError, Matching, from_arcs
 
@@ -195,29 +195,32 @@ def validate_waterman_ponty(s: SecondaryStructure, theta: int) -> ValidationRepo
     return report
 
 
+def _reindexed(arcs: Collection[Tuple[int, int]]) -> Matching:
+    """The matching that ``arcs`` form once their points are ranked 1..2m."""
+    points = sorted(p for arc in arcs for p in arc)
+    rank = {p: r for r, p in enumerate(points, start=1)}
+    return from_arcs([(rank[i], rank[j]) for i, j in arcs], len(arcs))
+
+
 def to_matching(s: SecondaryStructure) -> Matching:
     """Drop unpaired positions and reindex the paired ones to 1..2m."""
-    paired = sorted(p for pair in s.pairs for p in pair)
-    rank = {p: r for r, p in enumerate(paired, start=1)}
-    return from_arcs([(rank[i], rank[j]) for i, j in s.pairs], len(s.pairs))
+    return _reindexed(s.pairs)
 
 
 def collapse_shape(m: Matching) -> Matching:
-    """Reduce a matching to its shape: repeatedly drop every arc (i, j) with
-    (i+1, j-1) also present, reindex, and stop at a fixed point.
+    """Reduce a matching to its shape: drop every arc (i, j) with (i+1, j-1)
+    also present, and reindex.
 
-    The fixed point is exactly the condition that no occurrence of pattern 21
-    remains.
+    One round reaches the fixed point, which is exactly the condition that
+    no occurrence of pattern 21 remains.  A gap the round opens between two
+    kept arcs holds only points of a ladder (i, j), (i+1, j-1), ... of
+    dropped arcs; that ladder ends at the inner kept arc, so the outer one
+    would have been dropped too.
     """
-    while True:
-        arcs = [(a.left, a.right) for a in m.arcs()]
-        present = set(arcs)
-        kept = [(i, j) for i, j in arcs if (i + 1, j - 1) not in present]
-        if len(kept) == len(arcs):
-            return m
-        points = sorted(p for arc in kept for p in arc)
-        rank = {p: r for r, p in enumerate(points, start=1)}
-        m = from_arcs([(rank[i], rank[j]) for i, j in kept], len(kept))
+    arcs = [(a.left, a.right) for a in m.arcs()]
+    present = set(arcs)
+    kept = [(i, j) for i, j in arcs if (i + 1, j - 1) not in present]
+    return m if len(kept) == len(arcs) else _reindexed(kept)
 
 
 def structure_to_shape_text(

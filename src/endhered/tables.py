@@ -3,11 +3,13 @@
 `table_for_pattern` serves every permutation pattern from one engine: the
 Goulden-Jackson cluster method (as Elizalde and Noy used it for consecutive
 patterns), carried to matchings and evaluated by a linear recurrence on the
-rows.  The paper's own routes for the size-2 pattern and both size-3 classes
-stay as independent cross-checks: recurrences, binomial closed forms,
-inclusion-exclusion sums, an EGF expansion for the size-2 pattern, and a
-substitution into the matching generating function for the 132-class.  All
-arithmetic is exact.
+rows; `wilf_classes` groups the patterns of any size by those rows.  The
+paper's own routes for the size-2 pattern and both size-3 classes stay as
+independent cross-checks that share no arithmetic with the engine:
+recurrences, binomial closed forms, inclusion-exclusion sums, an EGF
+expansion for the size-2 pattern, and the substitution into the matching
+generating function for the 132-class, expanded by the binomial theorem.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from .matchings import EndheredError
-from .patterns import EndheredPattern
-from .series import TruncatedBivariateSeries
+from .patterns import EndheredPattern, PatternError
+from .series import _poly_dz, _poly_mul, _poly_sub, _z_coefficients_in_u
 
 
 def double_factorial(m: int) -> int:
@@ -190,28 +192,29 @@ def table_c321(max_n: int) -> DistributionTable:
     return DistributionTable(max_n, entries, "321")
 
 
-def d132_series(max_n: int) -> TruncatedBivariateSeries:
-    """Bivariate series whose z^n u^k coefficient counts matchings with k
-    occurrences of pattern 132: sum of (2n-1)!! (z + (u-1)z^3)^n."""
-    base = TruncatedBivariateSeries(
-        max_n, {(1, 0): 1, (3, 1): 1, (3, 0): -1}
-    )
-    total = TruncatedBivariateSeries.term(max_n, 1)
-    power = TruncatedBivariateSeries.term(max_n, 1)
-    for n in range(1, max_n + 1):
-        power = power * base
-        total = total + power.scale(double_factorial(2 * n - 1))
-    return total
+def d132_series(max_n: int) -> Dict[Tuple[int, int], int]:
+    """{(n, k): [z^n u^k]} for n <= max_n of sum_m (2m-1)!! (z + (u-1)z^3)^m,
+    the number of size-n matchings with k occurrences of pattern 132.
+
+    By the binomial theorem, twice: the z^n u^k coefficient is the sum over
+    j <= n/3 of (2(n-2j)-1)!! C(n-2j, j) C(j, k) (-1)^(j-k)."""
+    odd = [1]  # odd[m] = (2m-1)!!
+    for m in range(1, max_n + 1):
+        odd.append(odd[-1] * (2 * m - 1))
+    out: Dict[Tuple[int, int], int] = {}
+    for n in range(max_n + 1):
+        for j in range(n // 3 + 1):
+            c = odd[n - 2 * j] * comb(n - 2 * j, j)
+            for k in range(j + 1):
+                out[n, k] = out.get((n, k), 0) + (-1) ** (j - k) * comb(j, k) * c
+    return {key: v for key, v in out.items() if v}
 
 
 def table_d132(max_n: int) -> DistributionTable:
     """Distribution of pattern 132 (equivalently 213, 231, 312)."""
     if max_n < 1:
         raise EndheredError("max_n must be positive")
-    series = d132_series(max_n)
-    entries = {
-        (n, k): v for (n, k), v in series.coefficients.items() if n >= 1
-    }
+    entries = {(n, k): v for (n, k), v in d132_series(max_n).items() if n >= 1}
     for (n, k), v in entries.items():
         if v < 0:
             raise AssertionError(f"negative count at ({n},{k}); expansion is wrong")
@@ -225,37 +228,6 @@ def table_d132(max_n: int) -> DistributionTable:
 # series F(x) = sum (2m-1)!! x^m gives D(z, u) = F(g), the table's
 # generating function.  F = 1 + xF + 2x^2 F' turns that, with g = A/B, into
 # P D' = M D - N for the polynomials below; [z^m] of it gives row m.
-# Polynomials in z and t are dicts {(z power, t power): coefficient}.
-
-
-def _poly_mul(f: Dict, g: Dict) -> Dict:
-    out: Dict[Tuple[int, int], int] = {}
-    for (i, a), x in f.items():
-        for (j, b), y in g.items():
-            out[i + j, a + b] = out.get((i + j, a + b), 0) + x * y
-    return out
-
-
-def _poly_sub(f: Dict, g: Dict) -> Dict:
-    out = dict(f)
-    for key, y in g.items():
-        out[key] = out.get(key, 0) - y
-    return out
-
-
-def _poly_dz(f: Dict) -> Dict:
-    return {(i - 1, a): i * x for (i, a), x in f.items() if i}
-
-
-def _z_coefficients_in_u(f: Dict) -> Dict[int, List[int]]:
-    """{i: u-coefficients of [z^i]f}, substituting t = u - 1."""
-    out: Dict[int, List[int]] = {}
-    for (i, a), x in f.items():
-        coeffs = out.setdefault(i, [])
-        coeffs.extend([0] * (a + 1 - len(coeffs)))
-        for k in range(a + 1):
-            coeffs[k] += x * comb(a, k) * (-1) ** (a - k)
-    return out
 
 
 def _self_overlaps(sigma: Tuple[int, ...]) -> Dict[int, int]:
@@ -327,3 +299,20 @@ def table_for_pattern(pattern: str, max_n: int) -> DistributionTable:
         (n, k): v for n in range(1, max_n + 1) for k, v in enumerate(rows[n])
     }
     return DistributionTable(max_n, entries, pattern)
+
+
+def wilf_classes(p: int, max_n: int) -> List[List[EndheredPattern]]:
+    """Partition all p! patterns of size p by their distributions for n <= max_n,
+    read from the engine's rows.
+
+    Classes and their members are returned in lexicographic pattern order.
+    """
+    if p < 1:
+        raise PatternError("pattern size must be positive")
+    signatures: Dict[Tuple, List[EndheredPattern]] = {}
+    for perm in permutations(range(1, p + 1)):
+        pat = EndheredPattern(perm)
+        key = tuple(map(tuple, _cluster_rows(pat, max_n)[1:]))
+        signatures.setdefault(key, []).append(pat)
+    # permutations() runs in lexicographic order, and so do first members
+    return list(signatures.values())

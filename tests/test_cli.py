@@ -230,6 +230,17 @@ class TestCorpus:
         status, _, err = invoke(capsys, "corpus", "analyze", "--input", "/nonexistent.tsv")
         assert status == 1 and "error:" in err
 
+    @pytest.mark.parametrize("record", ['{"id": "b", "structure": null}', '{"id": 5, "structure": "()"}'])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_string_jsonl_field_is_domain_error(self, capsys, tmp_path, record, fmt):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "structure": "()"}\n' + record + "\n")
+        status, out, err = invoke(
+            capsys, "corpus", "brackets", "--input", str(path), "--corpus-format", "jsonl", "--format", fmt
+        )
+        assert status == 1 and out == ""
+        assert f"{path}:2: bad JSONL record" in err
+
 
 class TestVerify:
     def test_small(self, capsys):
@@ -287,14 +298,18 @@ class TestVerify:
         monkeypatch.setattr(cli, "table_for_pattern", wrong_cells)
         argv = ["verify", "--max-n", "4", "--pattern", "21", "--pattern", "132", "--pattern", "321"]
         status, out, _ = invoke(capsys, *argv)
-        assert status == 0
+        assert status == 1
         assert out.splitlines()[-2:] == [
             "first mismatch: 132 n=3 k=1 brute=1 formula=2",
             "MISMATCH FOUND",
         ]
+        outs = {}
         for fmt in ("csv", "json"):
-            _, out, _ = invoke(capsys, *argv, "--format", fmt)
-            assert "first mismatch" not in out
+            status, outs[fmt], _ = invoke(capsys, *argv, "--format", fmt)
+            assert status == 1
+            assert "first mismatch" not in outs[fmt]
+        assert "132,3,false" in outs["csv"].splitlines()
+        assert json.loads(outs["json"])["ok"] is False
 
 
 class TestSample:

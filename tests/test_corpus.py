@@ -53,6 +53,28 @@ class TestLoad:
         with pytest.raises(CorpusError, match=":1"):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ('{"id": "b", "structure": null}', "'structure'"),
+            ('{"id": 5, "structure": "()"}', "'id'"),
+            ('{"id": ["b"], "structure": "()"}', "'id'"),
+            ('{"id": "b", "structure": 12}', "'structure'"),
+        ],
+    )
+    def test_non_string_jsonl_fields(self, tmp_path, record, field):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "structure": "()"}\n' + record + "\n")
+        with pytest.raises(CorpusError, match=f":2: bad JSONL record: {field} must be a string"):
+            load_corpus(path, "jsonl")
+
+    @pytest.mark.parametrize("record", ["[1, 2]", '"text"', "null"])
+    def test_non_object_jsonl_record(self, tmp_path, record):
+        path = tmp_path / "c.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(CorpusError, match=":1: bad JSONL record"):
+            load_corpus(path, "jsonl")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             load_corpus(tmp_path / "nope.tsv", "tsv")

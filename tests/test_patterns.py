@@ -271,9 +271,28 @@ class TestWilfClasses:
         classes = wilf_classes(1, 4)
         assert [set(str(p) for p in cls) for cls in classes] == [{"1"}]
 
-    def test_guard(self):
+    @pytest.mark.parametrize("p, max_n", [(4, 6), (5, 5)])
+    def test_matches_bruteforce_grouping(self, p, max_n):
+        pats = [EndheredPattern(perm) for perm in permutations(range(1, p + 1))]
+        dists = [distributions_bruteforce(n, pats) for n in range(1, max_n + 1)]
+        groups = {}
+        for i, pat in enumerate(pats):
+            key = tuple(tuple(sorted(dist[i].items())) for dist in dists)
+            groups.setdefault(key, []).append(pat)
+        assert wilf_classes(p, max_n) == list(groups.values())
+
+    def test_runs_no_enumeration(self, monkeypatch):
+        from endhered import patterns
+
+        def refuse(n):
+            raise AssertionError("wilf_classes enumerated matchings")
+
+        monkeypatch.setattr(patterns, "enumerate_matchings", refuse)
+        assert len(wilf_classes(6, 8)) > 1
+
+    def test_size_zero_rejected(self):
         with pytest.raises(PatternError):
-            wilf_classes(4, 3)
+            wilf_classes(0, 3)
 
 
 class TestMonteCarlo:

@@ -289,6 +289,38 @@ class TestToMatching:
                 assert crossed == image_crossed
 
 
+def _collapse_to_fixpoint(m):
+    """Rounds of dropping every arc (i, j) with (i+1, j-1) present, then
+    reindexing, until a round drops nothing."""
+    while True:
+        arcs = [(a.left, a.right) for a in m.arcs()]
+        present = set(arcs)
+        kept = [(i, j) for i, j in arcs if (i + 1, j - 1) not in present]
+        if len(kept) == len(arcs):
+            return m
+        points = sorted(p for arc in kept for p in arc)
+        rank = {p: r for r, p in enumerate(points, start=1)}
+        m = from_arcs([(rank[i], rank[j]) for i, j in kept], len(kept))
+
+
+@st.composite
+def ladder_matchings(draw):
+    """A random matching with each arc widened into a ladder of 1-4 nested
+    copies, so that removable arcs come in long runs."""
+    base = random_matching(draw(st.integers(min_value=0, max_value=12)),
+                           draw(st.integers(min_value=0, max_value=2**32)))
+    depth = {a.left: draw(st.integers(min_value=1, max_value=4)) for a in base.arcs()}
+    opened, arcs, pos = {}, [], 0
+    for point, left in sorted((p, a.left) for a in base.arcs() for p in (a.left, a.right)):
+        block = range(pos + 1, pos + depth[left] + 1)
+        pos += depth[left]
+        if point == left:
+            opened[left] = block
+        else:
+            arcs += zip(opened[left], reversed(block))
+    return from_arcs(arcs, len(arcs))
+
+
 class TestCollapse:
     def test_paper_shape_example(self):
         assert structure_to_shape_text(SHAPE_EXAMPLE) == "(()())"
@@ -317,6 +349,17 @@ class TestCollapse:
     def test_zero_21_random(self, seed):
         m = random_matching(25, seed)
         assert count_occurrences(collapse_shape(m), PAT21) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(ladder_matchings())
+    def test_one_round_matches_fixpoint_loop_on_ladders(self, m):
+        assert collapse_shape(m) == _collapse_to_fixpoint(m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=12))
+    def test_one_round_matches_fixpoint_loop_on_pseudoknots(self, seed, blocks):
+        m = to_matching(parse_dotbracket(_pseudoknotted_text(random.Random(seed), blocks)))
+        assert collapse_shape(m) == _collapse_to_fixpoint(m)
 
 
 def test_structure_rejects_bad_pairs():

@@ -1,7 +1,6 @@
 import json
 import math
 import time
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -11,7 +10,6 @@ from endhered import (
     DistributionTable,
     EndheredError,
     EndheredPattern,
-    TruncatedBivariateSeries,
     a21_closed_form,
     avoid21,
     avoid21_incl_excl,
@@ -251,33 +249,6 @@ class TestExports:
         rows = text.split("\n")
         assert rows[0].split() == ["k\\n", "1", "2", "3"]
         assert rows[1].split() == ["0", "1", "2", "10"]
-
-
-class TestSeries:
-    def test_truncation(self):
-        z = TruncatedBivariateSeries.term(3, 1, z_power=1)
-        z4 = z * z * z * z
-        assert z4.coefficients == {}
-
-    def test_multiplication(self):
-        s = TruncatedBivariateSeries(5, {(1, 0): 2, (0, 1): 3})
-        sq = s * s
-        assert sq.coefficient(2, 0) == 4
-        assert sq.coefficient(1, 1) == 12
-        assert sq.coefficient(0, 2) == 9
-
-    def test_rational_coefficients(self):
-        s = TruncatedBivariateSeries(2, {(1, 0): Fraction(1, 2)})
-        assert (s * s).coefficient(2, 0) == Fraction(1, 4)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(EndheredError):
-            TruncatedBivariateSeries(-1)
-
-    def test_addition_drops_zeros(self):
-        a = TruncatedBivariateSeries(4, {(1, 1): 5})
-        b = TruncatedBivariateSeries(4, {(1, 1): -5, (0, 0): 1})
-        assert (a + b).coefficients == {(0, 0): 1}
 
 
 def test_distribution_table_row_and_getitem():
