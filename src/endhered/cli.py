@@ -10,6 +10,7 @@ exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -303,9 +304,16 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call and then reused:
+    parsing keeps no state in the parser, and building it costs more than
+    a small command."""
+    return build_parser()
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         output = _COMMANDS[args.subcommand](args)
     except EndheredError as exc:

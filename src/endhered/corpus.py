@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matchings import EndheredError, Matching
-from .patterns import EndheredPattern, count_occurrences
+from .patterns import EndheredPattern, _counts
 from .structure import (
     DEFAULT_ALPHABET,
     BracketAlphabet,
@@ -93,8 +93,8 @@ class CorpusReport:
 def load_corpus(path, format: str = "tsv") -> List[CorpusRecord]:
     """Read records from a TSV ("id<TAB>structure") or JSONL file.
 
-    '#' comment lines and blank lines are skipped in TSV; duplicate ids are
-    kept but warned about.
+    '#' comment lines and blank lines are skipped in TSV; an empty id is an
+    error in both formats; duplicate ids are kept but warned about.
     """
     path = Path(path)
     try:
@@ -126,6 +126,8 @@ def load_corpus(path, format: str = "tsv") -> List[CorpusRecord]:
                         f"{path}:{lineno}: bad JSONL record: {key!r} must be a "
                         f"string, not {type(value).__name__}"
                     )
+            if not rid:
+                raise CorpusError(f"{path}:{lineno}: bad JSONL record: 'id' is empty")
             records.append(CorpusRecord(rid, structure, obj.get("tool")))
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
@@ -155,9 +157,14 @@ def analyze(
     patterns: Optional[Sequence[EndheredPattern]] = None,
     alphabet: BracketAlphabet = DEFAULT_ALPHABET,
 ) -> CorpusReport:
-    """Census every pattern over the raw matchings and their collapsed shapes."""
+    """Census every pattern over the raw matchings and their collapsed shapes.
+
+    A pattern given more than once (as "12" and "1,2", say) is counted once,
+    in the place it first appears."""
     if patterns is None:
         patterns = [EndheredPattern.from_string(p) for p in DEFAULT_PATTERNS]
+    patterns = list(dict.fromkeys(patterns))
+    invs = [pat.inverse for pat in patterns]
     per_pattern = {
         str(pat): {"secondary": PatternCensus(), "shape": PatternCensus()}
         for pat in patterns
@@ -165,10 +172,11 @@ def analyze(
     parsed, failures = _parse_records(records, alphabet)
     for record, matching in parsed:
         shape = collapse_shape(matching)
-        for pat in patterns:
-            kinds = per_pattern[str(pat)]
-            kinds["secondary"].add(record.id, count_occurrences(matching, pat))
-            kinds["shape"].add(record.id, count_occurrences(shape, pat))
+        counts = _counts(matching.partner_map, 2 * matching.size, invs)
+        shape_counts = _counts(shape.partner_map, 2 * shape.size, invs)
+        for kinds, k, k_shape in zip(per_pattern.values(), counts, shape_counts):
+            kinds["secondary"].add(record.id, k)
+            kinds["shape"].add(record.id, k_shape)
     return CorpusReport(per_pattern, len(records), failures)
 
 
@@ -177,13 +185,11 @@ def scatter_data(
 ) -> List[Tuple[str, int, int, int]]:
     """Rows (id, matching size, count of 21, count of 321), omitting records
     with no occurrence of either pattern."""
-    pat21 = EndheredPattern.from_string("21")
-    pat321 = EndheredPattern.from_string("321")
+    invs = [EndheredPattern.from_string(p).inverse for p in ("21", "321")]
     parsed, _ = _parse_records(records, alphabet)
     rows = []
     for record, matching in parsed:
-        c21 = count_occurrences(matching, pat21)
-        c321 = count_occurrences(matching, pat321)
+        c21, c321 = _counts(matching.partner_map, 2 * matching.size, invs)
         if c21 or c321:
             rows.append((record.id, matching.size, c21, c321))
     return rows

@@ -199,7 +199,14 @@ def _reindexed(arcs: Collection[Tuple[int, int]]) -> Matching:
     """The matching that ``arcs`` form once their points are ranked 1..2m."""
     points = sorted(p for arc in arcs for p in arc)
     rank = {p: r for r, p in enumerate(points, start=1)}
-    return from_arcs([(rank[i], rank[j]) for i, j in arcs], len(arcs))
+    if len(rank) < len(points):
+        # a point shared by two arcs: from_arcs raises the MatchingError
+        return from_arcs([(rank[i], rank[j]) for i, j in arcs], len(arcs))
+    partner = [0] * (len(points) + 1)
+    for i, j in arcs:
+        partner[rank[i]] = rank[j]
+        partner[rank[j]] = rank[i]
+    return Matching._unchecked(tuple(partner))
 
 
 def to_matching(s: SecondaryStructure) -> Matching:
@@ -217,10 +224,10 @@ def collapse_shape(m: Matching) -> Matching:
     dropped arcs; that ladder ends at the inner kept arc, so the outer one
     would have been dropped too.
     """
-    arcs = [(a.left, a.right) for a in m.arcs()]
-    present = set(arcs)
-    kept = [(i, j) for i, j in arcs if (i + 1, j - 1) not in present]
-    return m if len(kept) == len(arcs) else _reindexed(kept)
+    pt = m.partner_map
+    # (i+1, j-1) is an arc when pt[i+1] == j-1, unless j == i+1
+    kept = [(i, j) for i, j in enumerate(pt) if j > i and (j == i + 1 or pt[i + 1] != j - 1)]
+    return m if len(kept) == m.size else _reindexed(kept)
 
 
 def structure_to_shape_text(

@@ -7,7 +7,8 @@ import jsonschema
 import pytest
 
 from endhered import double_factorial
-from endhered.cli import run
+from endhered.cli import build_parser, run
+from endhered.corpus import DEFAULT_PATTERNS
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CORPUS = str(files("endhered.data") / "paper_structures.tsv")
@@ -240,6 +241,47 @@ class TestCorpus:
         )
         assert status == 1 and out == ""
         assert f"{path}:2: bad JSONL record" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_jsonl_id_is_domain_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "structure": "()"}\n{"id": "", "structure": "(())"}\n')
+        status, out, err = invoke(
+            capsys, "corpus", "brackets", "--input", str(path), "--corpus-format", "jsonl", "--format", fmt
+        )
+        assert status == 1 and out == ""
+        assert f"{path}:2: bad JSONL record: 'id' is empty" in err
+
+    def test_repeated_pattern_counted_once(self, capsys, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\t(())\nb\t((()))\n")
+        argv = ["corpus", "analyze", "--input", str(path)]
+        _, once, _ = invoke(capsys, *argv, "--pattern", "21")
+        _, twice, _ = invoke(capsys, *argv, "--pattern", "21", "--pattern", "2,1")
+        assert once == twice == "records: 2\n21 [secondary]: 2 (a, b)\n21 [shape]: 0 (-)\n"
+        _, out, _ = invoke(capsys, *argv, "--pattern", "21", "--pattern", "21", "--format", "json")
+        assert json.loads(out)["21"]["secondary"]["ids"] == ["a", "b"]
+
+
+class TestParserReuse:
+    def test_verify_patterns_do_not_leak(self, capsys):
+        invoke(capsys, "verify", "--max-n", "2", "--pattern", "21")
+        status, out, _ = invoke(capsys, "verify", "--max-n", "2")
+        assert status == 0
+        reported = [line.split()[0] for line in out.splitlines()[:-1]]
+        assert reported == [p for p in DEFAULT_PATTERNS for _ in range(2)]
+
+    def test_corpus_patterns_do_not_leak(self, capsys):
+        _, before, _ = invoke(capsys, "corpus", "analyze", "--input", CORPUS, "--format", "json")
+        _, pinned, _ = invoke(capsys, "corpus", "analyze", "--input", CORPUS, "--format", "json",
+                              "--pattern", "21")
+        _, after, _ = invoke(capsys, "corpus", "analyze", "--input", CORPUS, "--format", "json")
+        assert list(json.loads(pinned)) == ["21", "_totals"]
+        assert list(json.loads(after)) == [*DEFAULT_PATTERNS, "_totals"]
+        assert after == before
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ import pytest
 from endhered import (
     CorpusError,
     CorpusRecord,
+    EndheredPattern,
     analyze,
     bracket_type_stats,
     load_corpus,
@@ -67,6 +68,18 @@ class TestLoad:
         path.write_text('{"id": "a", "structure": "()"}\n' + record + "\n")
         with pytest.raises(CorpusError, match=f":2: bad JSONL record: {field} must be a string"):
             load_corpus(path, "jsonl")
+
+    def test_empty_jsonl_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "structure": "()"}\n{"id": "", "structure": "(())"}\n')
+        with pytest.raises(CorpusError, match=":2: bad JSONL record: 'id' is empty"):
+            load_corpus(path, "jsonl")
+
+    def test_empty_tsv_id(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\t()\n\t(())\n")
+        with pytest.raises(CorpusError, match=":2: expected"):
+            load_corpus(path, "tsv")
 
     @pytest.mark.parametrize("record", ["[1, 2]", '"text"', "null"])
     def test_non_object_jsonl_record(self, tmp_path, record):
@@ -136,6 +149,15 @@ class TestAnalyze:
             for kind, census in kinds.items():
                 assert set(census.ids) == set(rev.per_pattern[pattern][kind].ids)
                 assert census.counts == rev.per_pattern[pattern][kind].counts
+
+    def test_repeated_pattern_counted_once(self, paper_records):
+        names = ["21", "132", "21", "1,3,2", "12"]
+        report = analyze(paper_records, [EndheredPattern.from_string(p) for p in names])
+        assert list(report.per_pattern) == ["21", "132", "12"]
+        single = analyze(paper_records, [EndheredPattern.from_string(p) for p in ["21", "132", "12"]])
+        assert report.to_json() == single.to_json()
+        secondary = report.per_pattern["21"]["secondary"]
+        assert len(secondary.ids) == len(set(secondary.ids)) > 0
 
     def test_json_round_trip(self, paper_records):
         payload = json.loads(analyze(paper_records).to_json())

@@ -24,6 +24,7 @@ from endhered import (
     wilf_classes,
 )
 from endhered.corpus import DEFAULT_PATTERNS
+from endhered.patterns import _counts
 
 P = EndheredPattern.from_string
 
@@ -178,6 +179,50 @@ class TestKernelMatchesDefinition:
         m = inflate(base, [rng.choice(ALL_SMALL_PATTERNS) for _ in range(base.size)])
         for pat in ALL_SMALL_PATTERNS:
             assert find_occurrences(m, pat) == occurrences_by_definition(m, pat), (m, pat)
+
+
+def counts_by_definition(m, pats):
+    return [len(occurrences_by_definition(m, pat)) for pat in pats]
+
+
+ALL_SMALL_INVS = [pat.inverse for pat in ALL_SMALL_PATTERNS]
+# descending patterns nest into stems, so partner difference -1 is everywhere
+STEMS = [P("21"), P("321"), P("4321"), P("213"), P("2143")]
+
+
+class TestCountsKernel:
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_all_small_patterns_in_one_call(self, n):
+        for m in enumerate_matchings(n):
+            got = _counts(m.partner_map, 2 * n, ALL_SMALL_INVS)
+            assert got == counts_by_definition(m, ALL_SMALL_PATTERNS), m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**32))
+    def test_random_matchings(self, n, seed):
+        m = random_matching(n, seed)
+        assert _counts(m.partner_map, 2 * n, ALL_SMALL_INVS) == counts_by_definition(
+            m, ALL_SMALL_PATTERNS
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.data())
+    def test_stem_heavy_matchings(self, seed, data):
+        base = random_matching(data.draw(st.integers(min_value=1, max_value=14)), seed)
+        m = inflate(base, data.draw(st.lists(st.sampled_from(STEMS), min_size=base.size,
+                                             max_size=base.size)))
+        assert _counts(m.partner_map, 2 * m.size, ALL_SMALL_INVS) == counts_by_definition(
+            m, ALL_SMALL_PATTERNS
+        )
+
+    def test_repeated_partner_order(self):
+        m = from_arcs([(1, 8), (2, 7), (3, 6), (4, 5)], 4)
+        invs = [P("21").inverse, P("12").inverse, P("21").inverse, P("321").inverse]
+        assert _counts(m.partner_map, 8, invs) == [3, 0, 3, 2]
+
+    def test_empty_matching(self):
+        assert _counts((0,), 0, ALL_SMALL_INVS) == [0] * len(ALL_SMALL_INVS)
+        assert _counts((0,), 0, []) == []
 
 
 class TestPlantedOccurrences:

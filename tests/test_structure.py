@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from endhered import (
     BracketAlphabet,
     EndheredPattern,
+    MatchingError,
     SecondaryStructure,
     StructureError,
     collapse_shape,
@@ -360,6 +361,65 @@ class TestCollapse:
     def test_one_round_matches_fixpoint_loop_on_pseudoknots(self, seed, blocks):
         m = to_matching(parse_dotbracket(_pseudoknotted_text(random.Random(seed), blocks)))
         assert collapse_shape(m) == _collapse_to_fixpoint(m)
+
+
+def _reindexed_by_from_arcs(arcs):
+    """Rank the points 1..2m and build the matching with from_arcs."""
+    points = sorted(p for arc in arcs for p in arc)
+    rank = {p: r for r, p in enumerate(points, start=1)}
+    return from_arcs([(rank[i], rank[j]) for i, j in arcs], len(arcs))
+
+
+def _collapse_by_from_arcs(m):
+    """One round of dropping every arc (i, j) with (i+1, j-1) present."""
+    arcs = [(a.left, a.right) for a in m.arcs()]
+    present = set(arcs)
+    kept = [(i, j) for i, j in arcs if (i + 1, j - 1) not in present]
+    return m if len(kept) == len(arcs) else _reindexed_by_from_arcs(kept)
+
+
+class TestMatchesFromArcs:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_sets())
+    def test_to_matching(self, s):
+        try:
+            want = _reindexed_by_from_arcs(s.pairs)
+        except MatchingError as exc:
+            with pytest.raises(MatchingError) as got:
+                to_matching(s)
+            assert str(got.value) == str(exc)
+        else:
+            assert to_matching(s) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=12))
+    def test_to_matching_pseudoknots(self, seed, blocks):
+        s = parse_dotbracket(_pseudoknotted_text(random.Random(seed), blocks))
+        assert to_matching(s) == _reindexed_by_from_arcs(s.pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
+    def test_collapse_random(self, n, seed):
+        m = random_matching(n, seed)
+        assert collapse_shape(m) == _collapse_by_from_arcs(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ladder_matchings())
+    def test_collapse_ladders(self, m):
+        assert collapse_shape(m) == _collapse_by_from_arcs(m)
+
+    def test_collapse_exhaustive(self):
+        for n in range(0, 6):
+            for m in enumerate_matchings(n):
+                assert collapse_shape(m) == _collapse_by_from_arcs(m)
+
+    def test_shared_position_message(self):
+        s = SecondaryStructure(6, [(1, 4), (1, 5), (2, 6)])
+        with pytest.raises(MatchingError) as want:
+            _reindexed_by_from_arcs(s.pairs)
+        with pytest.raises(MatchingError) as got:
+            to_matching(s)
+        assert str(got.value) == str(want.value) == "duplicate point 2"
 
 
 def test_structure_rejects_bad_pairs():
