@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .asymptotics import poisson_half_pmf
@@ -232,20 +232,25 @@ def _cmd_verify(args) -> Tuple[str, int]:
     from .corpus import DEFAULT_PATTERNS
 
     names = args.patterns or list(DEFAULT_PATTERNS)
-    pats, tables = [], []
+    # a pattern given more than once (as "12" and "1,2", say) is tabled and
+    # counted once; slots[k] is the place of names[k] among the distinct ones
+    distinct: Dict[EndheredPattern, int] = {}
+    slots, tables = [], []
     for name in names:
-        pats.append(EndheredPattern.from_string(name))
-        tables.append(table_for_pattern(name, args.max_n))
+        i = distinct.setdefault(EndheredPattern.from_string(name), len(tables))
+        if i == len(tables):
+            tables.append(table_for_pattern(name, args.max_n))
+        slots.append(i)
     # the tables reject max_n < 1; the guard is checked before any enumeration
     check_guard(args.max_n, args.allow_large)
     brute = [
-        distributions_bruteforce(n, pats, allow_large=args.allow_large)
+        distributions_bruteforce(n, list(distinct), allow_large=args.allow_large)
         for n in range(1, args.max_n + 1)
     ]
     results, first_mismatch = [], None
-    for i, (name, table) in enumerate(zip(names, tables)):
+    for name, i in zip(names, slots):
         for n, dists in enumerate(brute, start=1):
-            got, want = dists[i], table.column(n)
+            got, want = dists[i], tables[i].column(n)
             results.append({"pattern": name, "n": n, "ok": got == want})
             if got != want and first_mismatch is None:
                 k = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))

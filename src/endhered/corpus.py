@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .matchings import EndheredError, Matching
-from .patterns import EndheredPattern, _counts
+from .patterns import EndheredPattern, _counter
 from .structure import (
     DEFAULT_ALPHABET,
     BracketAlphabet,
@@ -164,7 +164,7 @@ def analyze(
     if patterns is None:
         patterns = [EndheredPattern.from_string(p) for p in DEFAULT_PATTERNS]
     patterns = list(dict.fromkeys(patterns))
-    invs = [pat.inverse for pat in patterns]
+    count = _counter([pat.inverse for pat in patterns])
     per_pattern = {
         str(pat): {"secondary": PatternCensus(), "shape": PatternCensus()}
         for pat in patterns
@@ -172,8 +172,8 @@ def analyze(
     parsed, failures = _parse_records(records, alphabet)
     for record, matching in parsed:
         shape = collapse_shape(matching)
-        counts = _counts(matching.partner_map, 2 * matching.size, invs)
-        shape_counts = _counts(shape.partner_map, 2 * shape.size, invs)
+        counts = count(matching.partner_map, 2 * matching.size)
+        shape_counts = count(shape.partner_map, 2 * shape.size)
         for kinds, k, k_shape in zip(per_pattern.values(), counts, shape_counts):
             kinds["secondary"].add(record.id, k)
             kinds["shape"].add(record.id, k_shape)
@@ -185,11 +185,11 @@ def scatter_data(
 ) -> List[Tuple[str, int, int, int]]:
     """Rows (id, matching size, count of 21, count of 321), omitting records
     with no occurrence of either pattern."""
-    invs = [EndheredPattern.from_string(p).inverse for p in ("21", "321")]
+    count = _counter([EndheredPattern.from_string(p).inverse for p in ("21", "321")])
     parsed, _ = _parse_records(records, alphabet)
     rows = []
     for record, matching in parsed:
-        c21, c321 = _counts(matching.partner_map, 2 * matching.size, invs)
+        c21, c321 = count(matching.partner_map, 2 * matching.size)
         if c21 or c321:
             rows.append((record.id, matching.size, c21, c321))
     return rows

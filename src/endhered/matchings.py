@@ -163,20 +163,24 @@ def enumerate_matchings(n: int) -> Iterator[Matching]:
 
 
 def _enumerate_partner_tuples(n: int) -> Iterator[Tuple[int, ...]]:
+    """Partner tuples in enumerate_matchings order.  Level m is built from
+    the list of level m-1; only level n-1 is held, and level n is streamed."""
     if n == 0:
         yield (0,)
         return
-    for t in range(1, 2 * n):
-        # new arc (1, t+1); old point q shifts to q+1 if q < t, else q+2
-        for sub in _enumerate_partner_tuples(n - 1):
-            pt = [0] * (2 * n + 1)
-            pt[1] = t + 1
-            pt[t + 1] = 1
-            for q in range(1, 2 * n - 1):
-                nq = q + 1 if q < t else q + 2
-                pq = sub[q]
-                pt[nq] = pq + 1 if pq < t else pq + 2
-            yield tuple(pt)
+    level = [(0,)]
+    for m in range(1, n):
+        level = list(_next_level(level, m))
+    yield from _next_level(level, n)
+
+
+def _next_level(level: Sequence[Tuple[int, ...]], m: int) -> Iterator[Tuple[int, ...]]:
+    for t in range(1, 2 * m):
+        # new arc (1, t+1); every old label q, of a point or of its partner,
+        # becomes q+1 if q < t, else q+2
+        get = (0, *range(2, t + 1), *range(t + 2, 2 * m + 1)).__getitem__
+        for sub in level:
+            yield (0, t + 1, *map(get, sub[1:t]), 1, *map(get, sub[t:]))
 
 
 def random_matching(n: int, seed: int) -> Matching:

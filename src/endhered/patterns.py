@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .matchings import (
     EndheredError,
     Matching,
-    enumerate_matchings,
     from_arcs,
+    _enumerate_partner_tuples,
     _random_matching,
 )
 
@@ -26,9 +26,11 @@ class PatternError(EndheredError):
     """Raised for invalid patterns or guarded brute-force sizes."""
 
 
-# (2*8-1)!! is ~2.0e6 matchings: one pattern takes ~45 s at n = 8 on a 2-core
-# x86-64 VM (Python 3.11), and each further n multiplies that by 2n-1 (n = 9:
-# ~13 min); anything larger needs an explicit override
+# (2*8-1)!! is ~2.0e6 matchings: one pattern takes ~14 s at n = 8 on a 2-core
+# x86-64 VM (Python 3.11), eight ~22 s, and the census holds the 135 135
+# matchings of size 7 (~24 MB); each further n multiplies the time by 2n-1
+# and the held level by about 2n (n = 9: ~4 min, ~0.4 GB); anything larger
+# needs an explicit override
 BRUTEFORCE_MAX_N = 8
 
 
@@ -131,29 +133,39 @@ def _iter_occurrences(pt: Sequence[int], n2: int, inv: Tuple[int, ...]):
                 yield a, j
 
 
-def _counts(pt: Sequence[int], n2: int, invs: Sequence[Tuple[int, ...]]) -> List[int]:
-    """Occurrence counts of several patterns, given by their partner orders
-    ``invs``, in one pass over the adjacent partners (pt[a], pt[a+1]).
+def _counter(invs: Sequence[Tuple[int, ...]]) -> Callable[[Sequence[int], int], List[int]]:
+    """The function (pt, n2) -> occurrence counts of several patterns, given
+    by their partner orders ``invs``, in one pass over the adjacent partners
+    (pt[a], pt[a+1]) of a matching on n2 points.
 
     The patterns are grouped by their first partner difference inv[1] -
-    inv[0], so a pair whose difference starts no pattern costs one dict
-    lookup.  For one pattern, _iter_occurrences is faster."""
-    counts = [0] * len(invs)
+    inv[0] once, here, so a pair whose difference starts no pattern costs one
+    dict lookup.  For one pattern, _iter_occurrences is faster."""
+    ones: List[int] = []  # size-1 patterns: every starting point is one
     groups: Dict[int, List[Tuple[int, int, Tuple[int, ...]]]] = {}
     for i, inv in enumerate(invs):
         if len(inv) == 1:
-            counts[i] = n2 // 2  # every starting point
+            ones.append(i)
         else:
             groups.setdefault(inv[1] - inv[0], []).append((i, len(inv), inv))
-    for x, y in zip(pt[1:n2], pt[2:]):
-        group = groups.get(y - x)
-        if group is not None:
-            a = pt[x]
-            for i, p, inv in group:
-                j = x - inv[0]
-                if j >= a + p - 1 and all(pt[a + s] == inv[s] + j for s in range(2, p)):
-                    counts[i] += 1
-    return counts
+    get = groups.get
+    r = len(invs)
+
+    def count(pt: Sequence[int], n2: int) -> List[int]:
+        counts = [0] * r
+        for i in ones:
+            counts[i] = n2 // 2
+        for x, y in zip(pt[1:n2], pt[2:]):
+            group = get(y - x)
+            if group is not None:
+                a = pt[x]
+                for i, p, inv in group:
+                    j = x - inv[0]
+                    if j >= a + p - 1 and all(pt[a + s] == inv[s] + j for s in range(2, p)):
+                        counts[i] += 1
+        return counts
+
+    return count
 
 
 def count_occurrences(m: Matching, pat: EndheredPattern) -> int:
@@ -180,11 +192,11 @@ def _census(
     """{(k_1, ..., k_r): number of matchings of size n with exactly k_i
     occurrences of pats[i]}: the one brute-force pass over all matchings."""
     check_guard(n, allow_large)
-    invs = [pat.inverse for pat in pats]
+    count = _counter([pat.inverse for pat in pats])
     n2 = 2 * n
     counts: Dict[Tuple[int, ...], int] = {}
-    for m in enumerate_matchings(n):
-        key = tuple(_counts(m.partner_map, n2, invs))
+    for pt in _enumerate_partner_tuples(n):
+        key = tuple(count(pt, n2))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

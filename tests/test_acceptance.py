@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  On a 2-core x86-64 VM with Python 3.11 the whole suite takes 40-60 s,
+lines.  On a 2-core x86-64 VM with Python 3.11 the whole suite takes 30-40 s,
 of which criterion 7 (100k Monte Carlo samples of size 500) reports 17-29 s
-against its 60 s bound and criterion 2 (brute force to n = 7) 15-22 s.
+against its 60 s bound and criterion 2 (brute force to n = 7) 6-8 s.
 """
 
 import math

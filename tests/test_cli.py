@@ -306,18 +306,42 @@ class TestVerify:
         assert status == 0
         assert out == "\n".join(lines + ["all ok"]) + "\n"
 
+    def test_repeated_pattern_tabled_and_counted_once(self, capsys, monkeypatch):
+        from endhered import cli, patterns
+
+        tabled, censused = [], []
+        real_table, real_census = cli.table_for_pattern, patterns._census
+
+        def table_spy(pattern, max_n):
+            tabled.append(pattern)
+            return real_table(pattern, max_n)
+
+        def census_spy(n, pats, allow_large):
+            censused.append([str(pat) for pat in pats])
+            return real_census(n, pats, allow_large)
+
+        monkeypatch.setattr(cli, "table_for_pattern", table_spy)
+        monkeypatch.setattr(patterns, "_census", census_spy)
+        argv = ["verify", "--max-n", "3"]
+        for name in ["21", "312", "21", "1,2", "12"]:
+            argv += ["--pattern", name]
+        status, out, _ = invoke(capsys, *argv)
+        assert status == 0 and out.endswith("all ok\n")
+        assert tabled == ["21", "312", "1,2"]
+        assert censused == [["21", "312", "12"]] * 3
+
     def test_guard_checked_before_any_enumeration(self, capsys, monkeypatch):
         from endhered import patterns
 
         calls = []
-        real = patterns.enumerate_matchings
+        real = patterns._enumerate_partner_tuples
 
         def spy(n):
             calls.append(n)
             return real(n)
 
         monkeypatch.setattr(patterns, "BRUTEFORCE_MAX_N", 2)
-        monkeypatch.setattr(patterns, "enumerate_matchings", spy)
+        monkeypatch.setattr(patterns, "_enumerate_partner_tuples", spy)
         status, out, err = invoke(capsys, "verify", "--max-n", "3", "--pattern", "21")
         assert status == 1 and out == ""
         assert "exceeds the n <= 2 guard" in err

@@ -18,7 +18,7 @@ from endhered import (
     serialize_matching,
     to_permutation,
 )
-from endhered.matchings import _random_matching
+from endhered.matchings import _enumerate_partner_tuples, _random_matching
 
 
 def matchings_of_size(n):
@@ -89,6 +89,33 @@ class TestEnumeration:
         # size 2: insertion position of the partner of point 1, ascending
         expected = ["1-2 3-4", "1-3 2-4", "1-4 2-3"]
         assert [serialize_matching(m) for m in enumerate_matchings(2)] == expected
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_levels_match_recursive_reference(self, n):
+        assert list(_enumerate_partner_tuples(n)) == list(recursive_partner_tuples(n))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(MatchingError):
+            next(enumerate_matchings(-1))
+
+
+def recursive_partner_tuples(n):
+    """Reference enumerator: the whole (n-1)-level recursion is re-run for
+    each of the 2n-1 insertion positions of the partner of point 1."""
+    if n == 0:
+        yield (0,)
+        return
+    for t in range(1, 2 * n):
+        # new arc (1, t+1); old point q shifts to q+1 if q < t, else q+2
+        for sub in recursive_partner_tuples(n - 1):
+            pt = [0] * (2 * n + 1)
+            pt[1] = t + 1
+            pt[t + 1] = 1
+            for q in range(1, 2 * n - 1):
+                nq = q + 1 if q < t else q + 2
+                pq = sub[q]
+                pt[nq] = pq + 1 if pq < t else pq + 2
+            yield tuple(pt)
 
 
 class TestRandom:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from endhered import (
     EndheredPattern,
+    Matching,
     Occurrence,
     PatternError,
     as_matching,
@@ -24,7 +25,8 @@ from endhered import (
     wilf_classes,
 )
 from endhered.corpus import DEFAULT_PATTERNS
-from endhered.patterns import _counts
+from endhered.patterns import _census, _counter
+from test_matchings import recursive_partner_tuples
 
 P = EndheredPattern.from_string
 
@@ -194,14 +196,14 @@ class TestCountsKernel:
     @pytest.mark.parametrize("n", range(0, 6))
     def test_all_small_patterns_in_one_call(self, n):
         for m in enumerate_matchings(n):
-            got = _counts(m.partner_map, 2 * n, ALL_SMALL_INVS)
+            got = _counter(ALL_SMALL_INVS)(m.partner_map, 2 * n)
             assert got == counts_by_definition(m, ALL_SMALL_PATTERNS), m
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**32))
     def test_random_matchings(self, n, seed):
         m = random_matching(n, seed)
-        assert _counts(m.partner_map, 2 * n, ALL_SMALL_INVS) == counts_by_definition(
+        assert _counter(ALL_SMALL_INVS)(m.partner_map, 2 * n) == counts_by_definition(
             m, ALL_SMALL_PATTERNS
         )
 
@@ -211,18 +213,36 @@ class TestCountsKernel:
         base = random_matching(data.draw(st.integers(min_value=1, max_value=14)), seed)
         m = inflate(base, data.draw(st.lists(st.sampled_from(STEMS), min_size=base.size,
                                              max_size=base.size)))
-        assert _counts(m.partner_map, 2 * m.size, ALL_SMALL_INVS) == counts_by_definition(
+        assert _counter(ALL_SMALL_INVS)(m.partner_map, 2 * m.size) == counts_by_definition(
             m, ALL_SMALL_PATTERNS
         )
 
     def test_repeated_partner_order(self):
         m = from_arcs([(1, 8), (2, 7), (3, 6), (4, 5)], 4)
         invs = [P("21").inverse, P("12").inverse, P("21").inverse, P("321").inverse]
-        assert _counts(m.partner_map, 8, invs) == [3, 0, 3, 2]
+        assert _counter(invs)(m.partner_map, 8) == [3, 0, 3, 2]
 
     def test_empty_matching(self):
-        assert _counts((0,), 0, ALL_SMALL_INVS) == [0] * len(ALL_SMALL_INVS)
-        assert _counts((0,), 0, []) == []
+        assert _counter(ALL_SMALL_INVS)((0,), 0) == [0] * len(ALL_SMALL_INVS)
+        assert _counter([])((0,), 0) == []
+
+    def test_one_counter_reused_over_every_size(self):
+        # counts must not leak from one call into the next, nor the size
+        # of one matching into the next one's size-1 counts
+        count = _counter(ALL_SMALL_INVS)
+        for n in (5, 0, 3, 4, 1, 2):
+            for m in enumerate_matchings(n):
+                assert count(m.partner_map, 2 * n) == counts_by_definition(m, ALL_SMALL_PATTERNS), m
+
+    def test_census_equals_reference_tally(self):
+        pats = [P(name) for name in DEFAULT_PATTERNS]
+        for n in range(0, 7):
+            tally = {}
+            for pt in recursive_partner_tuples(n):
+                m = Matching(pt)
+                key = tuple(count_occurrences(m, pat) for pat in pats)
+                tally[key] = tally.get(key, 0) + 1
+            assert _census(n, pats, allow_large=False) == tally, n
 
 
 class TestPlantedOccurrences:
@@ -332,7 +352,7 @@ class TestWilfClasses:
         def refuse(n):
             raise AssertionError("wilf_classes enumerated matchings")
 
-        monkeypatch.setattr(patterns, "enumerate_matchings", refuse)
+        monkeypatch.setattr(patterns, "_enumerate_partner_tuples", refuse)
         assert len(wilf_classes(6, 8)) > 1
 
     def test_size_zero_rejected(self):
