@@ -59,6 +59,7 @@ from .structure import (
     StructureError,
     ValidationReport,
     collapse_shape,
+    matching_from_dotbracket,
     parse_dotbracket,
     serialize_dotbracket,
     structure_to_shape_text,

@@ -45,16 +45,16 @@ from .structure import (
     validate_waterman_ponty,
     SecondaryStructure,
     collapse_shape,
+    matching_from_dotbracket,
     parse_dotbracket,
     serialize_dotbracket,
-    to_matching,
 )
 from .tables import table_for_pattern
 
 def _matching_from_args(args) -> Matching:
     if args.matching is not None:
         return parse_matching(args.matching)
-    return to_matching(parse_dotbracket(args.dotbracket, DEFAULT_ALPHABET))
+    return matching_from_dotbracket(args.dotbracket, DEFAULT_ALPHABET)
 
 
 def _add_input_group(parser: argparse.ArgumentParser) -> None:

@@ -21,8 +21,7 @@ from .structure import (
     BracketAlphabet,
     StructureError,
     collapse_shape,
-    parse_dotbracket,
-    to_matching,
+    matching_from_dotbracket,
 )
 
 # Census rows of interest: both size-2 patterns and all six size-3 patterns.
@@ -146,7 +145,7 @@ def _parse_records(
     failures = []
     for record in records:
         try:
-            parsed.append((record, to_matching(parse_dotbracket(record.structure, alphabet))))
+            parsed.append((record, matching_from_dotbracket(record.structure, alphabet)))
         except StructureError as exc:
             failures.append((record.id, str(exc)))
     return parsed, failures

@@ -26,11 +26,11 @@ class PatternError(EndheredError):
     """Raised for invalid patterns or guarded brute-force sizes."""
 
 
-# (2*8-1)!! is ~2.0e6 matchings: one pattern takes ~14 s at n = 8 on a 2-core
-# x86-64 VM (Python 3.11), eight ~22 s, and the census holds the 135 135
-# matchings of size 7 (~24 MB); each further n multiplies the time by 2n-1
-# and the held level by about 2n (n = 9: ~4 min, ~0.4 GB); anything larger
-# needs an explicit override
+# (2*8-1)!! is ~2.0e6 matchings: one pattern takes ~9 s at n = 8 on a 2-core
+# x86-64 VM (Python 3.11), the eight default patterns ~11 s, and the census
+# holds the 135 135 matchings of size 7 (~24 MB); each further n multiplies
+# the time by 2n-1 and the held level by about 2n (n = 9: ~3 min, ~0.4 GB);
+# anything larger needs an explicit override
 BRUTEFORCE_MAX_N = 8
 
 
@@ -123,14 +123,20 @@ def _iter_occurrences(pt: Sequence[int], n2: int, inv: Tuple[int, ...]):
     # an occurrence has pt[a+1] - pt[a] == inv[1] - inv[0]; that rarely
     # holds, so the rest of the window is checked only on such a hit
     d = inv[1] - inv0
+    last = p - 1
+    tail = tuple(enumerate(inv[2:], 2))  # (s, inv[s]) for s >= 2
     stop = n2 - p + 2
     for x, y in zip(pt[1:stop], pt[2:]):
         if y - x == d:
             a = pt[x]  # x = pt[a], and pt is an involution
             j = x - inv0
             # ending block must start after the p starting points
-            if j >= a + p - 1 and all(pt[a + s] == inv[s] + j for s in range(2, p)):
-                yield a, j
+            if j >= a + last:
+                for s, v in tail:
+                    if pt[a + s] != v + j:
+                        break
+                else:
+                    yield a, j
 
 
 def _counter(invs: Sequence[Tuple[int, ...]]) -> Callable[[Sequence[int], int], List[int]]:
@@ -140,14 +146,18 @@ def _counter(invs: Sequence[Tuple[int, ...]]) -> Callable[[Sequence[int], int], 
 
     The patterns are grouped by their first partner difference inv[1] -
     inv[0] once, here, so a pair whose difference starts no pattern costs one
-    dict lookup.  For one pattern, _iter_occurrences is faster."""
+    dict lookup.  For one pattern, _iter_occurrences is faster on long
+    matchings (41 against 58 us for 21 on size-500 random matchings, 2-core
+    x86-64 VM, Python 3.11) and as fast on size-5 ones."""
     ones: List[int] = []  # size-1 patterns: every starting point is one
-    groups: Dict[int, List[Tuple[int, int, Tuple[int, ...]]]] = {}
+    # by first difference: (index, inv[0], p - 1, (s, inv[s]) for s >= 2)
+    groups: Dict[int, List[Tuple[int, int, int, Tuple[Tuple[int, int], ...]]]] = {}
     for i, inv in enumerate(invs):
         if len(inv) == 1:
             ones.append(i)
         else:
-            groups.setdefault(inv[1] - inv[0], []).append((i, len(inv), inv))
+            tail = tuple(enumerate(inv[2:], 2))
+            groups.setdefault(inv[1] - inv[0], []).append((i, inv[0], len(inv) - 1, tail))
     get = groups.get
     r = len(invs)
 
@@ -159,10 +169,14 @@ def _counter(invs: Sequence[Tuple[int, ...]]) -> Callable[[Sequence[int], int], 
             group = get(y - x)
             if group is not None:
                 a = pt[x]
-                for i, p, inv in group:
-                    j = x - inv[0]
-                    if j >= a + p - 1 and all(pt[a + s] == inv[s] + j for s in range(2, p)):
-                        counts[i] += 1
+                for i, inv0, last, tail in group:
+                    j = x - inv0
+                    if j >= a + last:
+                        for s, v in tail:
+                            if pt[a + s] != v + j:
+                                break
+                        else:
+                            counts[i] += 1
         return counts
 
     return count

@@ -26,11 +26,16 @@ class BracketAlphabet:
     """Ordered bracket types; index order is the FCFS preference order."""
 
     pairs: Tuple[Tuple[str, str], ...]
+    # bracket character -> type index, built once from pairs
+    openers: Dict[str, int] = field(init=False, repr=False, compare=False)
+    closers: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         chars = [c for pair in self.pairs for c in pair]
         if len(set(chars)) != len(chars) or "." in chars:
             raise StructureError("bracket characters must be distinct and not '.'")
+        object.__setattr__(self, "openers", {op: t for t, (op, _) in enumerate(self.pairs)})
+        object.__setattr__(self, "closers", {cl: t for t, (_, cl) in enumerate(self.pairs)})
 
     @classmethod
     def default(cls, uppercase_opens: bool = False) -> "BracketAlphabet":
@@ -40,14 +45,6 @@ class BracketAlphabet:
         for lo, up in zip(string.ascii_lowercase, string.ascii_uppercase):
             pairs.append((up, lo) if uppercase_opens else (lo, up))
         return cls(tuple(pairs))
-
-    @property
-    def openers(self) -> Dict[str, int]:
-        return {op: t for t, (op, _) in enumerate(self.pairs)}
-
-    @property
-    def closers(self) -> Dict[str, int]:
-        return {cl: t for t, (_, cl) in enumerate(self.pairs)}
 
 
 DEFAULT_ALPHABET = BracketAlphabet.default()
@@ -91,30 +88,59 @@ class ValidationReport:
         )
 
 
+def _scan(text: str, alphabet: BracketAlphabet) -> Tuple[List[int], List[int]]:
+    """One left-to-right pass over dot-bracket text, with one stack per
+    bracket type, that ranks the paired positions 1..2m as it meets them.
+
+    Returns (where, partner): where[r] is the position of rank r and
+    partner[r] the rank it pairs with; index 0 holds 0 in both.  Raises the
+    first unknown character or unmatched closer met, then every opener left
+    unmatched, by position."""
+    openers = alphabet.openers
+    closers = alphabet.closers
+    stacks: List[List[int]] = [[] for _ in alphabet.pairs]  # open ranks
+    where = [0]
+    partner = [0]
+    for pos, ch in enumerate(text, start=1):
+        if ch == ".":
+            continue
+        t = openers.get(ch)
+        if t is not None:
+            stacks[t].append(len(where))
+            partner.append(0)  # set when its closer comes
+        else:
+            t = closers.get(ch)
+            if t is None:
+                raise StructureError(f"unknown character {ch!r} at position {pos}")
+            stack = stacks[t]
+            if not stack:
+                raise StructureError(f"unmatched closing {ch!r} at position {pos}")
+            r = stack.pop()
+            partner[r] = len(where)
+            partner.append(r)
+        where.append(pos)
+    dangling = sorted(where[r] for stack in stacks for r in stack)
+    if dangling:
+        raise StructureError(f"unmatched opening bracket(s) at position(s) {dangling}")
+    return where, partner
+
+
 def parse_dotbracket(
     text: str, alphabet: BracketAlphabet = DEFAULT_ALPHABET
 ) -> SecondaryStructure:
     """Parse extended dot-bracket text using one stack per bracket type."""
-    openers = alphabet.openers
-    closers = alphabet.closers
-    stacks: Dict[int, List[int]] = {}
-    pairs = []
-    for pos, ch in enumerate(text, start=1):
-        if ch == ".":
-            continue
-        if ch in openers:
-            stacks.setdefault(openers[ch], []).append(pos)
-        elif ch in closers:
-            stack = stacks.get(closers[ch], [])
-            if not stack:
-                raise StructureError(f"unmatched closing {ch!r} at position {pos}")
-            pairs.append((stack.pop(), pos))
-        else:
-            raise StructureError(f"unknown character {ch!r} at position {pos}")
-    dangling = sorted(pos for stack in stacks.values() for pos in stack)
-    if dangling:
-        raise StructureError(f"unmatched opening bracket(s) at position(s) {dangling}")
-    return SecondaryStructure(len(text), pairs)
+    where, partner = _scan(text, alphabet)
+    return SecondaryStructure(
+        len(text), [(where[r], where[q]) for r, q in enumerate(partner) if q > r]
+    )
+
+
+def matching_from_dotbracket(
+    text: str, alphabet: BracketAlphabet = DEFAULT_ALPHABET
+) -> Matching:
+    """``to_matching(parse_dotbracket(text, alphabet))`` in one scan: the
+    ranks of the paired positions are the matching's points."""
+    return Matching._unchecked(tuple(_scan(text, alphabet)[1]))
 
 
 def serialize_dotbracket(
@@ -234,6 +260,6 @@ def structure_to_shape_text(
     text: str, alphabet: BracketAlphabet = DEFAULT_ALPHABET
 ) -> str:
     """Full pipeline: dot-bracket text -> matching -> shape -> dot-bracket."""
-    m = collapse_shape(to_matching(parse_dotbracket(text, alphabet)))
+    m = collapse_shape(matching_from_dotbracket(text, alphabet))
     pairs = [(a.left, a.right) for a in m.arcs()]
     return serialize_dotbracket(SecondaryStructure(2 * m.size, pairs), alphabet)

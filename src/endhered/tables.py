@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from itertools import permutations, zip_longest
-from math import comb, factorial
+from math import comb, factorial, lgamma, log
 from typing import Dict, List, Tuple
 
 from .matchings import EndheredError
@@ -58,8 +59,29 @@ class DistributionTable:
     def max_k(self) -> int:
         return max((k for (_, k) in self.entries), default=0)
 
+    def _check_digits(self) -> None:
+        """Raise EndheredError if an entry has more decimal digits than the
+        interpreter converts to a string (sys.get_int_max_str_digits(), 0
+        for no limit).  No entry exceeds its row sum (2n-1)!!, so while
+        (2*max_n-1)!! is below 10^(limit-1) only its logarithm is taken."""
+        # interpreters before 3.10.7 have neither the limit nor its getter
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        n = self.max_n
+        # log10 (2n-1)!! = log10 (2n)! / (2^n n!)
+        if not limit or (lgamma(2 * n + 1) - lgamma(n + 1) - n * log(2)) / log(10) < limit - 1:
+            return
+        bound = 10**limit
+        over = min((key for key, v in self.entries.items() if v >= bound), default=None)
+        if over is not None:
+            raise EndheredError(
+                f"count at n={over[0]}, k={over[1]} has more than {limit} digits, the "
+                "interpreter's limit for integer-to-string conversion "
+                "(sys.get_int_max_str_digits())"
+            )
+
     def to_text(self) -> str:
         """Aligned layout: one line per k, one column per n."""
+        self._check_digits()
         ks = range(0, self.max_k() + 1)
         header = ["k\\n"] + [str(n) for n in range(1, self.max_n + 1)]
         rows = [[str(k)] + [str(v) for v in self.row(k)] for k in ks]
@@ -71,6 +93,7 @@ class DistributionTable:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
+        self._check_digits()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "k", "count"])
@@ -79,6 +102,7 @@ class DistributionTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        self._check_digits()
         # counts as decimal strings: consumers must not truncate to 64 bits
         payload = {
             "pattern": self.pattern,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -115,6 +116,30 @@ class TestEnumerate:
         status, out, _ = invoke(capsys, "enumerate", "--pattern", pattern, "--max-n", "40", "--format", fmt)
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[pattern][fmt]
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs the interpreter's default 4300-digit limit",
+    )
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_count_past_the_digit_limit_is_domain_error(self, capsys, fmt):
+        # (2*1424-1)!! has 4301 digits
+        status, out, err = invoke(capsys, "enumerate", "--pattern", "1", "--max-n", "1424", "--format", fmt)
+        assert status == 1 and out == ""
+        assert err == (
+            "error: count at n=1424, k=1424 has more than 4300 digits, the interpreter's "
+            "limit for integer-to-string conversion (sys.get_int_max_str_digits())\n"
+        )
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs the interpreter's default 4300-digit limit",
+    )
+    def test_count_just_below_the_digit_limit_prints(self, capsys):
+        # (2*1423-1)!! has 4298 digits
+        status, out, _ = invoke(capsys, "enumerate", "--pattern", "1", "--max-n", "1423", "--format", "json")
+        assert status == 0
+        assert json.loads(out)["entries"][-1] == [1423, 1423, str(double_factorial(2845))]
 
 
 class TestCount:

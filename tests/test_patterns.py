@@ -245,6 +245,58 @@ class TestCountsKernel:
             assert _census(n, pats, allow_large=False) == tally, n
 
 
+# every pattern of size 5 and a fixed sample of size 6: windows whose check
+# runs past the third point
+LONG_PATTERNS = [EndheredPattern(perm) for perm in permutations(range(1, 6))] + random.Random(
+    6
+).sample([EndheredPattern(perm) for perm in permutations(range(1, 7))], 60)
+LONG_INVS = [pat.inverse for pat in LONG_PATTERNS]
+
+
+class TestLongPatterns:
+    def test_each_planted_alone(self):
+        for pat in LONG_PATTERNS:
+            m = as_matching(pat)
+            assert find_occurrences(m, pat) == [Occurrence(1, pat.size + 1)]
+            assert _counter(LONG_INVS)(m.partner_map, 2 * m.size) == counts_by_definition(
+                m, LONG_PATTERNS
+            ), pat
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inflated_matchings(self, seed):
+        # long patterns planted among small ones, so that windows agree with
+        # a long pattern on a prefix and then break
+        rng = random.Random(seed)
+        base = random_matching(10, seed)
+        pool = LONG_PATTERNS + ALL_SMALL_PATTERNS
+        m = inflate(base, [rng.choice(pool) for _ in range(base.size)])
+        for pat in LONG_PATTERNS:
+            assert find_occurrences(m, pat) == occurrences_by_definition(m, pat), (m, pat)
+        assert _counter(LONG_INVS)(m.partner_map, 2 * m.size) == counts_by_definition(
+            m, LONG_PATTERNS
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.data())
+    def test_mixed_sizes_sharing_a_first_difference(self, seed, data):
+        # every pattern whose first two partners are adjacent and descending:
+        # one dict entry holds patterns of sizes 2 to 6, stems hit it often
+        pats = [
+            pat
+            for pat in ALL_SMALL_PATTERNS + LONG_PATTERNS
+            if pat.size > 1 and pat.inverse[1] - pat.inverse[0] == -1
+        ]
+        assert {pat.size for pat in pats} == {2, 3, 4, 5, 6}
+        base = random_matching(data.draw(st.integers(min_value=1, max_value=10)), seed)
+        planted = data.draw(
+            st.lists(st.sampled_from(pats + STEMS), min_size=base.size, max_size=base.size)
+        )
+        m = inflate(base, planted)
+        assert _counter([pat.inverse for pat in pats])(
+            m.partner_map, 2 * m.size
+        ) == counts_by_definition(m, pats)
+
+
 class TestPlantedOccurrences:
     @pytest.mark.parametrize("name", ["12", "21", "123", "321", "132", "213", "231", "312"])
     def test_detects_planted(self, name):

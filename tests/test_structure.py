@@ -15,6 +15,7 @@ from endhered import (
     count_occurrences,
     enumerate_matchings,
     from_arcs,
+    matching_from_dotbracket,
     parse_dotbracket,
     random_matching,
     serialize_dotbracket,
@@ -45,6 +46,15 @@ class TestAlphabet:
         with pytest.raises(StructureError):
             BracketAlphabet(((".", ")"),))
 
+    def test_equality_hash_repr_come_from_pairs_alone(self):
+        pairs = (("(", ")"), ("a", "Z"))
+        alpha = BracketAlphabet(pairs)
+        assert alpha == BracketAlphabet(pairs)
+        assert alpha != BracketAlphabet(pairs[::-1])
+        assert hash(alpha) == hash((pairs,))
+        assert repr(alpha) == "BracketAlphabet(pairs=(('(', ')'), ('a', 'Z')))"
+        assert alpha.openers == {"(": 0, "a": 1} and alpha.closers == {")": 0, "Z": 1}
+
 
 class TestParse:
     def test_single_pair(self):
@@ -66,6 +76,11 @@ class TestParse:
         with pytest.raises(StructureError, match=r"position\(s\) \[1\]"):
             parse_dotbracket("((.)")
 
+    def test_unmatched_openers_named_by_position(self):
+        for parse in (parse_dotbracket, matching_from_dotbracket):
+            with pytest.raises(StructureError, match=r"position\(s\) \[3, 6\]$"):
+                parse("..[(.[.)")
+
     def test_unknown_character(self):
         with pytest.raises(StructureError, match="position 2"):
             parse_dotbracket("(?)")
@@ -80,6 +95,95 @@ class TestParse:
         for i, a in enumerate(pairs):
             for b in pairs[i + 1 :]:
                 assert not (a[0] < b[0] < a[1] < b[1])
+
+
+def reference_parse(text, alphabet=DEFAULT_ALPHABET):
+    """Reference parser: a stack per bracket type in a dict keyed by type,
+    pairs collected by position, errors raised as parse_dotbracket raises
+    them."""
+    openers = {op: t for t, (op, _) in enumerate(alphabet.pairs)}
+    closers = {cl: t for t, (_, cl) in enumerate(alphabet.pairs)}
+    stacks = {}
+    pairs = []
+    for pos, ch in enumerate(text, start=1):
+        if ch == ".":
+            continue
+        if ch in openers:
+            stacks.setdefault(openers[ch], []).append(pos)
+        elif ch in closers:
+            stack = stacks.get(closers[ch], [])
+            if not stack:
+                raise StructureError(f"unmatched closing {ch!r} at position {pos}")
+            pairs.append((stack.pop(), pos))
+        else:
+            raise StructureError(f"unknown character {ch!r} at position {pos}")
+    dangling = sorted(pos for stack in stacks.values() for pos in stack)
+    if dangling:
+        raise StructureError(f"unmatched opening bracket(s) at position(s) {dangling}")
+    return SecondaryStructure(len(text), pairs)
+
+
+# letter pairs both ways round, so that each alphabet below reads some of
+# them as closers first; "?" and "." are never brackets
+TEXT_PAIRS = [("(", ")"), ("[", "]"), ("{", "}"), ("<", ">"), ("a", "A"), ("B", "b"), ("a", "Z")]
+TEXT_CHARS = ".()[]{}<>aAbBzZ?"
+ALPHABETS = {
+    "default": DEFAULT_ALPHABET,
+    "uppercase_opens": BracketAlphabet.default(uppercase_opens=True),
+    "two_pairs": BracketAlphabet((("(", ")"), ("a", "Z"))),
+}
+
+
+@st.composite
+def bracket_texts(draw):
+    """Stems of 1-3 pairs of one bracket pair each, from a palette of 1-3
+    pairs, crossing freely, among dots; then, in half the texts, up to three
+    characters deleted or inserted, so that unbalanced runs and unknown
+    characters occur."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    order = draw(st.permutations(list(range(m)) * 2))
+    palette = draw(st.lists(st.sampled_from(TEXT_PAIRS), min_size=1, max_size=3, unique=True))
+    brackets = [draw(st.sampled_from(palette)) for _ in range(m)]
+    stems = [draw(st.integers(min_value=1, max_value=3)) for _ in range(m)]
+    chars, opened = [], set()
+    for arc in order:
+        chars += brackets[arc][1 if arc in opened else 0] * stems[arc]
+        opened.add(arc)
+        chars += "." * draw(st.integers(min_value=0, max_value=2))
+    for _ in range(draw(st.integers(min_value=1, max_value=3)) if draw(st.booleans()) else 0):
+        pos = draw(st.integers(min_value=0, max_value=len(chars)))
+        if pos < len(chars) and draw(st.booleans()):
+            del chars[pos]
+        else:
+            chars.insert(pos, draw(st.sampled_from(TEXT_CHARS)))
+    return "".join(chars)
+
+
+class TestScanMatchesReference:
+    @pytest.mark.parametrize("name", list(ALPHABETS))
+    @settings(max_examples=300, deadline=None)
+    @given(text=bracket_texts())
+    def test_parse_and_matching(self, name, text):
+        alphabet = ALPHABETS[name]
+        try:
+            want = reference_parse(text, alphabet)
+        except StructureError as exc:
+            for parse in (parse_dotbracket, matching_from_dotbracket):
+                with pytest.raises(StructureError) as got:
+                    parse(text, alphabet)
+                assert str(got.value) == str(exc)
+        else:
+            assert parse_dotbracket(text, alphabet) == want
+            assert matching_from_dotbracket(text, alphabet) == to_matching(
+                parse_dotbracket(text, alphabet)
+            )
+
+    @pytest.mark.parametrize(
+        "text", ["", "....", "..()..", "(.[.).]", "a..(A)", SHAPE_EXAMPLE, "((((.[[[)))).]]]"]
+    )
+    def test_fixed_texts(self, text):
+        assert parse_dotbracket(text) == reference_parse(text)
+        assert matching_from_dotbracket(text) == to_matching(reference_parse(text))
 
 
 class TestSerialize:

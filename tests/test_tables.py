@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 from itertools import permutations
 
@@ -184,6 +185,28 @@ class TestTableForPattern:
     def test_max_n_must_be_positive(self):
         with pytest.raises(EndheredError, match="max_n must be positive"):
             table_for_pattern("321", 0)
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("fmt", ["to_text", "to_csv", "to_json"])
+    def test_exact_at_the_limit(self, monkeypatch, fmt):
+        # pattern 1 has the one entry (2n-1)!! per row: 10395 at n = 6 has
+        # five digits, 135135 at n = 7 has six
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
+        getattr(table_for_pattern("1", 6), fmt)()
+        with pytest.raises(EndheredError, match=r"n=7, k=7 has more than 5 digits"):
+            getattr(table_for_pattern("1", 7), fmt)()
+
+    def test_zero_means_no_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert table_for_pattern("1", 7).to_json().endswith('[7, 7, "135135"]]}')
+
+    def test_below_the_bound_entries_are_not_read(self, monkeypatch):
+        # (2*150-1)!! has 307 digits: far below the limit, no entry is looked at
+        t = table_for_pattern("21", 150)
+        monkeypatch.setattr(t, "entries", {}.fromkeys(t.entries, None))
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        t._check_digits()
 
 
 def _all_patterns(p):
